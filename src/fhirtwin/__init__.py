@@ -8,7 +8,6 @@ corpora from structured tables and an evaluation harness scores
 extraction F1, relation F1, semantic completeness and interoperability.
 """
 
-from fhirtwin._match import BACKEND as MATCH_BACKEND
 from fhirtwin.fhir_assembly import TwinBundle, build_patient
 from fhirtwin.ner import ClinicalNote, extract_entities, segment
 from fhirtwin.normalizer import normalize, normalize_all
@@ -25,7 +24,6 @@ from fhirtwin.terminology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MATCH_BACKEND",
     "TwinBundle",
     "build_patient",
     "ClinicalNote",

@@ -1,28 +1,1 @@
-"""Matcher kernel selection: compiled extension if available, else pure Python.
-
-Set FHIRTWIN_PURE_PYTHON=1 to force the fallback even when the extension
-is built (useful for benchmarking and debugging).
-"""
-
-from __future__ import annotations
-
-import os
-
-from fhirtwin._match import pymatch
-
-if os.environ.get("FHIRTWIN_PURE_PYTHON"):
-    _impl = pymatch
-    BACKEND = "python"
-else:
-    try:
-        from fhirtwin._match import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "c"
-    except ImportError:
-        _impl = pymatch
-        BACKEND = "python"
-
-token_spans = _impl.token_spans
-dictionary_spans = _impl.dictionary_spans
-
-__all__ = ["token_spans", "dictionary_spans", "BACKEND", "pymatch"]
+"""The dictionary matcher kernel; see ``pymatch``."""

@@ -1,9 +1,6 @@
-"""Pure-Python matcher kernel: tokenization and dictionary span scanning.
+"""Matcher kernel: tokenization and dictionary span scanning.
 
-This is the reference implementation of the two hot functions behind
-dictionary entity extraction. A compiled twin lives in ``_speedups.pyx``
-and must stay behaviorally identical; ``fhirtwin._match`` picks whichever
-is importable.
+These are the two hot functions behind dictionary entity extraction.
 
 Token rule: a character belongs to a token when it is alphanumeric, or
 when it is ``/`` or ``.`` with digits on both sides (keeping ``145/92``
@@ -13,10 +10,20 @@ Dictionary keys are normalized the same way terminology lookup normalizes
 queries: case-fold the verbatim slice and collapse whitespace runs. The
 scanner builds candidate keys incrementally (token + separator at a time)
 and prunes an n-gram as soon as its key stops being a prefix of any
-dictionary key, which is what makes scanning large corpora cheap.
+dictionary key, which is what makes scanning large corpora cheap. The
+prefix set is built once per key set and memoised on it, so a large
+dictionary costs nothing per note once its first note has been scanned.
 """
 
 from __future__ import annotations
+
+from weakref import ref
+
+#: id(key set) -> (weak reference to that set, its prefix set). Keyed by
+#: identity because comparing two large sets for equality is O(size); the
+#: entry is dropped when its key set is freed, so a discarded dictionary
+#: keeps no memory here.
+_PREFIXES: dict[int, tuple[ref, frozenset[str]]] = {}
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:
@@ -62,17 +69,24 @@ def _collapse_whitespace(text: str) -> str:
     return "".join(parts)
 
 
-def key_prefixes(keys) -> frozenset[str]:
+def key_prefixes(keys: frozenset[str] | set[str]) -> frozenset[str]:
     """Every dictionary key cut at each of its own token ends.
 
     A candidate key that is not in this set cannot grow into a full key by
-    appending more tokens, so the scanner may stop extending it.
+    appending more tokens, so the scanner may stop extending it. The result
+    is memoised for as long as ``keys`` lives, so a repeat call with the
+    same frozenset is O(1). A mutable set is copied first, so a change to
+    it is seen on the next call.
     """
-    prefixes: set[str] = set()
-    for key in keys:
-        for _, end in token_spans(key):
-            prefixes.add(key[:end])
-    return frozenset(prefixes)
+    if not isinstance(keys, frozenset):
+        keys = frozenset(keys)
+    key_id = id(keys)
+    cached = _PREFIXES.get(key_id)
+    if cached is not None and cached[0]() is keys:
+        return cached[1]
+    prefixes = frozenset(key[:end] for key in keys for _, end in token_spans(key))
+    _PREFIXES[key_id] = (ref(keys, lambda _: _PREFIXES.pop(key_id, None)), prefixes)
+    return prefixes
 
 
 def dictionary_spans(

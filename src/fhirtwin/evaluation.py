@@ -217,12 +217,7 @@ def _field_fingerprint(resource: FhirResource, field_name: str):
 def _match_key(resource: FhirResource) -> tuple:
     primary = resource.primary_code()
     if primary is None:
-        concept = resource.fields.get(
-            "medicationCodeableConcept"
-            if resource.resource_type == "MedicationRequest"
-            else "code"
-        ) or {}
-        primary = ("text", concept.get("text", ""))
+        primary = ("text", resource.concept().get("text", ""))
     return (resource.resource_type, primary)
 
 

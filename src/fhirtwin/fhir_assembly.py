@@ -73,12 +73,18 @@ class FhirResource:
     id: str
     fields: dict
 
+    @property
+    def code_field(self) -> str:
+        """Name of the field that holds this resource's coded concept."""
+        if self.resource_type == "MedicationRequest":
+            return "medicationCodeableConcept"
+        return "code"
+
+    def concept(self) -> dict:
+        return self.fields.get(self.code_field) or {}
+
     def coding(self) -> list[dict]:
-        code_field = "medicationCodeableConcept" if (
-            self.resource_type == "MedicationRequest"
-        ) else "code"
-        concept = self.fields.get(code_field) or {}
-        return concept.get("coding") or []
+        return self.concept().get("coding") or []
 
     def primary_code(self) -> Optional[tuple[str, str]]:
         """(system URI, code) of the first coding, or None when uncoded."""
@@ -288,13 +294,12 @@ def assemble(
 
 def _check_coding(
     resource: FhirResource,
-    code_field: str,
     allowed: frozenset[str],
     rule: str,
     issues: list[ValidationIssue],
 ) -> None:
-    concept = resource.fields.get(code_field) or {}
-    coding = concept.get("coding") or []
+    code_field = resource.code_field
+    coding = resource.coding()
     if not coding:
         issues.append(
             ValidationIssue(
@@ -352,7 +357,7 @@ def validate(
             )
 
         if resource.resource_type == "Condition":
-            _check_coding(resource, "code", _CONDITION_SYSTEMS, "C1", issues)
+            _check_coding(resource, _CONDITION_SYSTEMS, "C1", issues)
             if not fields.get("clinicalStatus") or not fields.get("verificationStatus"):
                 issues.append(
                     ValidationIssue(
@@ -363,7 +368,7 @@ def validate(
                     )
                 )
         elif resource.resource_type == "Observation":
-            _check_coding(resource, "code", _OBSERVATION_SYSTEMS, "O1", issues)
+            _check_coding(resource, _OBSERVATION_SYSTEMS, "O1", issues)
             if not fields.get("valueString") or not fields.get("effectiveDateTime"):
                 issues.append(
                     ValidationIssue(
@@ -383,9 +388,7 @@ def validate(
                     )
                 )
         elif resource.resource_type == "MedicationRequest":
-            _check_coding(
-                resource, "medicationCodeableConcept", _MEDICATION_SYSTEMS, "M1", issues
-            )
+            _check_coding(resource, _MEDICATION_SYSTEMS, "M1", issues)
             dosage = fields.get("dosageInstruction") or []
             if not dosage:
                 issues.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from fhirtwin._match import dictionary_spans, token_spans
+from fhirtwin._match.pymatch import dictionary_spans, token_spans
 from fhirtwin.terminology import EntityType, TerminologyIndex
 
 #: Tokens that keep a following period from ending a sentence.

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -101,6 +102,14 @@ class ConceptEntry:
         return (SYSTEM_PRECEDENCE[self.system], self.code)
 
 
+def _first_per_identity(entries: Iterable[ConceptEntry]) -> tuple[ConceptEntry, ...]:
+    """The first entry of each (system, code, entity type), in first-seen order."""
+    unique: dict[tuple[CodeSystem, str, EntityType], ConceptEntry] = {}
+    for entry in entries:
+        unique.setdefault((entry.system, entry.code, entry.entity_type), entry)
+    return tuple(unique.values())
+
+
 @dataclass(frozen=True)
 class TerminologyIndex:
     """Immutable surface-form index over one or more loaded dictionaries.
@@ -132,21 +141,26 @@ class TerminologyIndex:
         RXNORM) and then by code, so repeated lookups are deterministic.
         Unknown surfaces return an empty list.
         """
-        seen: set[tuple[CodeSystem, str, EntityType]] = set()
-        results: list[ConceptEntry] = []
-        for entry in self.exact(surface) + self.via_synonym(surface):
-            if type_filter is not None and entry.entity_type != type_filter:
-                continue
-            key = (entry.system, entry.code, entry.entity_type)
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(entry)
-        results.sort(key=ConceptEntry.sort_key)
-        return results
+        return sorted(
+            _first_per_identity(
+                entry
+                for entry in self.exact(surface) + self.via_synonym(surface)
+                if type_filter is None or entry.entity_type == type_filter
+            ),
+            key=ConceptEntry.sort_key,
+        )
 
     def match_keys(self) -> frozenset[str]:
-        """Every normalized surface that can produce a lookup hit."""
+        """Every normalized surface that can produce a lookup hit.
+
+        Built on the first call and kept, so every note scanned against
+        this index shares one set (and the matcher's prefix set memoised
+        on it).
+        """
+        return self._match_keys
+
+    @cached_property
+    def _match_keys(self) -> frozenset[str]:
         return frozenset(self.entries) | frozenset(self.synonym_map)
 
     def with_synonyms(self, synonym_map: dict[str, str]) -> "TerminologyIndex":
@@ -222,17 +236,11 @@ def load_dictionary(
             raise MalformedRowError(
                 path, line_no, f"entity type {raw_type!r} cannot carry codes"
             )
-        entry = ConceptEntry(surface, system, code, display, entity_type)
-        bucket = staged.setdefault(surface, [])
-        if not any(
-            e.system == entry.system
-            and e.code == entry.code
-            and e.entity_type == entry.entity_type
-            for e in bucket
-        ):
-            bucket.append(entry)
+        staged.setdefault(surface, []).append(
+            ConceptEntry(surface, system, code, display, entity_type)
+        )
     return TerminologyIndex(
-        entries={surface: tuple(rows) for surface, rows in staged.items()}
+        entries={surface: _first_per_identity(rows) for surface, rows in staged.items()}
     )
 
 
@@ -262,18 +270,10 @@ def merge_indexes(*indexes: TerminologyIndex) -> TerminologyIndex:
     synonym_map: dict[str, str] = {}
     for index in indexes:
         for surface, rows in index.entries.items():
-            bucket = staged.setdefault(surface, [])
-            for entry in rows:
-                if not any(
-                    e.system == entry.system
-                    and e.code == entry.code
-                    and e.entity_type == entry.entity_type
-                    for e in bucket
-                ):
-                    bucket.append(entry)
+            staged.setdefault(surface, []).extend(rows)
         synonym_map.update(index.synonym_map)
     return TerminologyIndex(
-        entries={surface: tuple(rows) for surface, rows in staged.items()},
+        entries={surface: _first_per_identity(rows) for surface, rows in staged.items()},
         synonym_map=synonym_map,
     )
 

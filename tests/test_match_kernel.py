@@ -1,21 +1,18 @@
-"""Kernel behavior plus parity between the compiled and pure backends."""
+"""Matcher kernel behavior, checked against brute-force oracles."""
 
 from __future__ import annotations
 
-import pytest
+import gc
+import weakref
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhirtwin._match import BACKEND, pymatch
+from fhirtwin._match import pymatch
+from fhirtwin.ner import ClinicalNote, PatternSet, extract_entities
+from fhirtwin.terminology import load_dictionary
 
-try:
-    from fhirtwin._match import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
-)
+from conftest import write_dictionary
 
 
 def tokens(text):
@@ -95,35 +92,62 @@ def test_ngram_budget_respected():
     assert pymatch.dictionary_spans(text, spans, KEYS, 0) == []
 
 
+def test_a_mutable_key_set_is_read_afresh_on_each_call():
+    text = "type 2 diabetes"
+    spans = pymatch.token_spans(text)
+    keys = {"diabetes"}
+    assert pymatch.dictionary_spans(text, spans, keys, 6) == [(7, 15)]
+    keys.add("type 2 diabetes")
+    assert pymatch.dictionary_spans(text, spans, keys, 6) == [(0, 15), (7, 15)]
+
+
 WORDS = ["type", "2", "diabetes", "BP", "145/92", "mg", "heart", "failure,", "x"]
 text_strategy = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+# Each example scans under its own dictionary, so one process sees many key
+# sets; a prefix memo that answered for the wrong key set would show here.
+keys_strategy = st.frozensets(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(
+        lambda words: _normalize(" ".join(words))
+    ),
+    max_size=6,
+)
 
 
-@settings(max_examples=100)
-@given(text_strategy)
-def test_oracle_agreement_on_generated_text(text):
+@settings(max_examples=200)
+@given(text_strategy, keys_strategy, st.integers(0, 6))
+def test_oracle_agreement_on_generated_text(text, keys, max_ngram):
     spans = pymatch.token_spans(text)
-    assert sorted(pymatch.dictionary_spans(text, spans, KEYS, 6)) == (
-        brute_force_dictionary_spans(text, KEYS, 6)
+    assert sorted(pymatch.dictionary_spans(text, spans, keys, max_ngram)) == (
+        brute_force_dictionary_spans(text, keys, max_ngram)
     )
 
 
-@needs_compiled
-@settings(max_examples=150)
-@given(st.text(alphabet=st.characters(codec="utf-8"), max_size=60))
-def test_token_spans_parity(text):
-    assert _speedups.token_spans(text) == pymatch.token_spans(text)
-
-
-@needs_compiled
-@settings(max_examples=100)
-@given(text_strategy)
-def test_dictionary_spans_parity(text):
-    spans = pymatch.token_spans(text)
-    assert _speedups.dictionary_spans(text, spans, KEYS, 6) == (
-        pymatch.dictionary_spans(text, spans, KEYS, 6)
+def test_indexes_from_different_dictionaries_match_only_their_own_surfaces(tmp_path):
+    conditions = load_dictionary(
+        write_dictionary(
+            tmp_path,
+            ["chronic kidney disease,SNOMED,709044004,Chronic kidney disease,CONDITION"],
+            name="conditions.csv",
+        )
     )
+    medications = load_dictionary(
+        write_dictionary(
+            tmp_path,
+            ["lisinopril,RXNORM,29046,Lisinopril,MEDICATION"],
+            name="medications.csv",
+        )
+    )
+    note = ClinicalNote("n1", "p1", None, "Chronic kidney disease; started lisinopril.")
+    no_patterns = PatternSet(())
+    cases = ((conditions, ["Chronic kidney disease"]), (medications, ["lisinopril"]))
+    for index, expected in cases * 2:
+        assert [m.text for m in extract_entities(note, index, no_patterns)] == expected
 
 
-def test_backend_reports_something_sane():
-    assert BACKEND in ("c", "python")
+def test_prefix_memo_lets_a_discarded_key_set_go():
+    keys = frozenset({"type 2 diabetes", "heart failure"})
+    prefixes = weakref.ref(pymatch.key_prefixes(keys))
+    assert pymatch.key_prefixes(keys) is prefixes()
+    del keys
+    gc.collect()
+    assert prefixes() is None
