@@ -71,7 +71,10 @@ def load_notes(directory: str | Path) -> list[ClinicalNote]:
 
     When a corpus manifest is present its per-note patient ids and
     timestamps are used; bare text files fall back to the file stem for
-    both ids and carry no timestamp.
+    both ids and carry no timestamp. A ``.json`` note with no ``text``
+    field, or whose ``text``, ``note_id`` or ``patient_id`` is not a string,
+    is skipped with a warning, and so is every note after the first with
+    the same note id.
     """
     directory = Path(directory)
     manifest, notes_dir = _load_manifest(directory)
@@ -79,18 +82,17 @@ def load_notes(directory: str | Path) -> list[ClinicalNote]:
     if manifest:
         meta = {entry["note_id"]: entry for entry in manifest.get("notes", [])}
 
-    notes: list[ClinicalNote] = []
+    loaded: list[tuple[ClinicalNote, Path]] = []
     for path in sorted(notes_dir.glob("*.txt")):
         note_id = path.stem
         entry = meta.get(note_id, {})
-        notes.append(
-            ClinicalNote(
-                note_id=note_id,
-                patient_id=entry.get("patient_id", note_id),
-                timestamp=entry.get("timestamp"),
-                text=_read_note_text(path),
-            )
+        note = ClinicalNote(
+            note_id=note_id,
+            patient_id=entry.get("patient_id", note_id),
+            timestamp=entry.get("timestamp"),
+            text=_read_note_text(path),
         )
+        loaded.append((note, path))
     for path in sorted(notes_dir.glob("*.json")):
         if path.name == "manifest.json":
             continue
@@ -98,15 +100,34 @@ def load_notes(directory: str | Path) -> list[ClinicalNote]:
         if "text" not in body:
             logger.warning("skipping %s: no text field", path)
             continue
-        notes.append(
-            ClinicalNote(
-                note_id=body.get("note_id", path.stem),
-                patient_id=body.get("patient_id", path.stem),
-                timestamp=body.get("timestamp"),
-                text=body["text"],
+        fields = {
+            "note_id": body.get("note_id", path.stem),
+            "patient_id": body.get("patient_id", path.stem),
+            "text": body["text"],
+        }
+        not_strings = [k for k, value in fields.items() if not isinstance(value, str)]
+        if not_strings:
+            logger.warning(
+                "skipping %s: %s not a string", path, ", ".join(not_strings)
             )
-        )
-    notes.sort(key=lambda n: n.note_id)
+            continue
+        loaded.append((ClinicalNote(timestamp=body.get("timestamp"), **fields), path))
+    # The sort is stable, so of notes sharing an id the ``.txt`` file wins,
+    # then the first ``.json`` file by name.
+    loaded.sort(key=lambda pair: pair[0].note_id)
+    first_path: dict[str, Path] = {}
+    notes: list[ClinicalNote] = []
+    for note, path in loaded:
+        if note.note_id in first_path:
+            logger.warning(
+                "skipping %s: note id %s already read from %s",
+                path,
+                note.note_id,
+                first_path[note.note_id],
+            )
+            continue
+        first_path[note.note_id] = path
+        notes.append(note)
     return notes
 
 

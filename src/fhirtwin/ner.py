@@ -10,6 +10,7 @@ shared read-only index.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -189,25 +190,39 @@ def segment(text: str) -> list[Sentence]:
 
 
 def _containing_sentence(
-    sentences: list[Sentence], start: int, end: int
+    sentences: list[Sentence], starts: list[int], start: int, end: int
 ) -> Optional[int]:
-    for sentence in sentences:
-        if sentence.start <= start and end <= sentence.end:
-            return sentence.index
+    """Index of the sentence holding the non-empty span, or ``None``.
+
+    ``sentences`` are sorted and disjoint, as ``segment`` returns them, and
+    ``starts`` lists their start offsets, so only the last sentence that
+    starts at or before ``start`` can hold the span.
+    """
+    i = bisect_right(starts, start) - 1
+    if i >= 0 and end <= sentences[i].end:
+        return sentences[i].index
     return None
 
 
 def _resolve_overlaps(
     candidates: list[tuple[int, int, EntityType]]
 ) -> list[tuple[int, int, EntityType]]:
-    """Longest span wins; ties go to leftmost start, then etype priority."""
+    """Longest span wins; ties go to leftmost start, then etype priority.
+
+    Candidates are non-empty spans, and two of them overlap exactly when
+    they share a character. So a candidate is accepted when none of its
+    characters is covered by an accepted span yet, which costs time in
+    proportion to its length, not to the number of spans accepted.
+    """
     ordered = sorted(
         set(candidates),
         key=lambda c: (-(c[1] - c[0]), c[0], _ETYPE_PRIORITY[c[2]], c[1]),
     )
+    covered = bytearray(max((end for _, end, _ in ordered), default=0))
     accepted: list[tuple[int, int, EntityType]] = []
     for start, end, etype in ordered:
-        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
+        if covered.find(1, start, end) < 0:
+            covered[start:end] = b"\x01" * (end - start)
             accepted.append((start, end, etype))
     accepted.sort(key=lambda c: c[0])
     return accepted
@@ -228,6 +243,7 @@ def extract_entities(
     """
     text = note.text
     sentences = segment(text)
+    sentence_starts = [sentence.start for sentence in sentences]
     candidates: list[tuple[int, int, EntityType]] = []
 
     keys = index.match_keys()
@@ -248,7 +264,9 @@ def extract_entities(
     contained: list[tuple[int, int, EntityType]] = []
     sentence_of: dict[tuple[int, int], int] = {}
     for start, end, etype in candidates:
-        sentence_index = _containing_sentence(sentences, start, end)
+        sentence_index = _containing_sentence(
+            sentences, sentence_starts, start, end
+        )
         if sentence_index is not None:
             contained.append((start, end, etype))
             sentence_of[(start, end)] = sentence_index

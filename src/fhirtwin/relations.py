@@ -16,8 +16,10 @@ express explicit result links, and it scores like any other type.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,31 +55,9 @@ def load_cues(path: str | Path) -> tuple[str, ...]:
     return tuple(cues)
 
 
-def _nearest_preceding(
-    mentions: Sequence[EntityMention], position: int, etypes: frozenset[EntityType]
-) -> EntityMention | None:
-    best = None
-    for mention in mentions:
-        if mention.etype in etypes and mention.end <= position:
-            if best is None or mention.start > best.start:
-                best = mention
-    return best
-
-
-def _nearest_following(
-    mentions: Sequence[EntityMention], position: int, etypes: frozenset[EntityType]
-) -> EntityMention | None:
-    best = None
-    for mention in mentions:
-        if mention.etype in etypes and mention.start >= position:
-            if best is None or mention.start < best.start:
-                best = mention
-    return best
-
-
-_MED = frozenset({EntityType.MEDICATION})
 _SYMPTOM_HEADS = frozenset({EntityType.OBSERVATION, EntityType.CONDITION})
-_CONDITION = frozenset({EntityType.CONDITION})
+_START = attrgetter("start")
+_END = attrgetter("end")
 
 
 def extract_relations(
@@ -87,6 +67,10 @@ def extract_relations(
     cues: Iterable[str] = DEFAULT_CUES,
 ) -> list[Relation]:
     """Apply the per-sentence attachment rules over annotated mentions.
+
+    The mentions must be non-empty and must not overlap, as
+    ``extract_entities`` returns them: in start order their ends are then
+    sorted too, which the nearest-mention lookups rely on.
 
     Output is deduplicated and sorted by (sentence, head start, relation
     type), so identical inputs always produce identical lists.
@@ -103,41 +87,49 @@ def extract_relations(
     start_of = {m.mention_id: m.start for m in mentions}
     found: dict[Relation, tuple[int, int, str]] = {}
 
+    def add(relation: Relation, sentence_index: int) -> None:
+        found.setdefault(
+            relation, (sentence_index, start_of[relation.head], relation.rtype.value)
+        )
+
     for sentence in sentences:
-        group = sorted(by_sentence.get(sentence.index, []), key=lambda m: m.start)
+        group = sorted(by_sentence.get(sentence.index, []), key=_START)
         if not group:
             continue
 
+        # One sweep in start order: a dosage attaches to the last medication
+        # before it, and the cue rule's heads and tails are kept in order.
+        med = None
+        heads: list[EntityMention] = []
+        tails: list[EntityMention] = []
         for mention in group:
-            if mention.etype != EntityType.DOSAGE:
-                continue
-            med = _nearest_preceding(group, mention.start, _MED)
-            if med is not None:
+            if mention.etype == EntityType.MEDICATION:
+                med = mention
+            elif mention.etype == EntityType.DOSAGE and med is not None:
                 relation = Relation(
                     RelationType.HAS_DOSAGE, med.mention_id, mention.mention_id
                 )
-                found.setdefault(
-                    relation,
-                    (sentence.index, start_of[relation.head], relation.rtype.value),
-                )
+                add(relation, sentence.index)
+            if mention.etype in _SYMPTOM_HEADS:
+                heads.append(mention)
+            if mention.etype == EntityType.CONDITION:
+                tails.append(mention)
+        if not heads or not tails:
+            continue
 
         sentence_text = note_text[sentence.start : sentence.end]
         for cue_pattern in cue_patterns:
             for match in cue_pattern.finditer(sentence_text):
-                cue_start = sentence.start + match.start()
-                cue_end = sentence.start + match.end()
-                head = _nearest_preceding(group, cue_start, _SYMPTOM_HEADS)
-                tail = _nearest_following(group, cue_end, _CONDITION)
-                if head is None or tail is None:
+                # The head ends at or before the cue, the tail starts at or
+                # after it; the nearest of each is found by bisection.
+                h = bisect_right(heads, sentence.start + match.start(), key=_END)
+                t = bisect_left(tails, sentence.start + match.end(), key=_START)
+                if h == 0 or t == len(tails):
                     continue
-                if head.mention_id == tail.mention_id:
-                    continue
+                head, tail = heads[h - 1], tails[t]
                 relation = Relation(
                     RelationType.SYMPTOM_OF, head.mention_id, tail.mention_id
                 )
-                found.setdefault(
-                    relation,
-                    (sentence.index, start_of[relation.head], relation.rtype.value),
-                )
+                add(relation, sentence.index)
 
     return sorted(found, key=found.__getitem__)

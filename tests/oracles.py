@@ -1,16 +1,25 @@
-"""Brute-force scoring oracles.
+"""Brute-force oracles for the scores and for span extraction.
 
-These re-derive every metric from first principles over plain JSON
-dictionaries: exhaustive assignment search for the F1 matching, quadratic
-scans instead of grouping for the bundle scores. They share only the
-metric definitions with the library, never its code paths.
+The scoring oracles re-derive every metric from first principles over
+plain JSON dictionaries: exhaustive assignment search for the F1 matching,
+quadratic scans instead of grouping for the bundle scores. The extraction
+oracles are the straightforward quadratic scans that the library replaced
+with sorted-interval lookups: each candidate against every accepted span,
+each span against every sentence, each dosage or cue against every mention
+of its sentence. They share only definitions with the library (the metric
+definitions, the overlap tie-break priority, the relation types), never
+its code paths.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from fhirtwin.fhir_assembly import TwinBundle, resource_to_dict
+from fhirtwin.ner import _ETYPE_PRIORITY
+from fhirtwin.relations import Relation, RelationType
+from fhirtwin.terminology import EntityType
 
 REQUIRED = {
     "Condition": ("code", "clinicalStatus", "verificationStatus", "subject"),
@@ -139,3 +148,95 @@ def oracle_interoperability(
     else:
         agreement = 0.0
     return match_weight * f1_match + (1 - match_weight) * agreement
+
+
+# ---------------------------------------------------------------------------
+# Extraction: quadratic scans
+# ---------------------------------------------------------------------------
+
+
+def oracle_containing_sentence(sentences, start, end):
+    """Index of the first sentence holding ``[start, end)``, or ``None``."""
+    for sentence in sentences:
+        if sentence.start <= start and end <= sentence.end:
+            return sentence.index
+    return None
+
+
+def oracle_resolve_overlaps(candidates):
+    """Greedy acceptance, testing each candidate against every accepted span."""
+    ordered = sorted(
+        set(candidates),
+        key=lambda c: (-(c[1] - c[0]), c[0], _ETYPE_PRIORITY[c[2]], c[1]),
+    )
+    accepted = []
+    for start, end, etype in ordered:
+        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
+            accepted.append((start, end, etype))
+    accepted.sort(key=lambda c: c[0])
+    return accepted
+
+
+def nearest_preceding(mentions, position, etypes):
+    best = None
+    for mention in mentions:
+        if mention.etype in etypes and mention.end <= position:
+            if best is None or mention.start > best.start:
+                best = mention
+    return best
+
+
+def nearest_following(mentions, position, etypes):
+    best = None
+    for mention in mentions:
+        if mention.etype in etypes and mention.start >= position:
+            if best is None or mention.start < best.start:
+                best = mention
+    return best
+
+
+_MED = frozenset({EntityType.MEDICATION})
+_SYMPTOM_HEADS = frozenset({EntityType.OBSERVATION, EntityType.CONDITION})
+_CONDITION = frozenset({EntityType.CONDITION})
+
+
+def oracle_extract_relations(annotated, sentences, note_text, cues):
+    """The relation rules, scanning the whole sentence for every lookup."""
+    mentions = [a.mention for a in annotated]
+    start_of = {m.mention_id: m.start for m in mentions}
+    cue_patterns = [
+        re.compile(r"\b" + re.escape(cue) + r"\b", re.IGNORECASE) for cue in cues
+    ]
+    found = {}
+    for sentence in sentences:
+        group = sorted(
+            (m for m in mentions if m.sentence_index == sentence.index),
+            key=lambda m: m.start,
+        )
+        for mention in group:
+            if mention.etype != EntityType.DOSAGE:
+                continue
+            med = nearest_preceding(group, mention.start, _MED)
+            if med is not None:
+                relation = Relation(
+                    RelationType.HAS_DOSAGE, med.mention_id, mention.mention_id
+                )
+                found.setdefault(
+                    relation, (sentence.index, start_of[med.mention_id], "has-dosage")
+                )
+        sentence_text = note_text[sentence.start : sentence.end]
+        for cue_pattern in cue_patterns:
+            for match in cue_pattern.finditer(sentence_text):
+                cue_start = sentence.start + match.start()
+                cue_end = sentence.start + match.end()
+                head = nearest_preceding(group, cue_start, _SYMPTOM_HEADS)
+                tail = nearest_following(group, cue_end, _CONDITION)
+                if head is None or tail is None or head.mention_id == tail.mention_id:
+                    continue
+                relation = Relation(
+                    RelationType.SYMPTOM_OF, head.mention_id, tail.mention_id
+                )
+                found.setdefault(
+                    relation, (sentence.index, start_of[head.mention_id], "symptom-of")
+                )
+    return sorted(found, key=found.__getitem__)

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from fhirtwin.cli import main
+from fhirtwin.cli import load_notes, main
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
 
@@ -125,6 +125,55 @@ def test_extract_unknown_terms_note(tmp_path):
     assert main(["extract", str(notes), "--out", str(out)]) == 0
     body = read_json(out / "annotations" / "odd.json")
     assert body["mentions"] == [] and body["relations"] == []
+
+
+def write_json(path, body):
+    path.write_text(json.dumps(body), encoding="utf-8")
+
+
+def test_duplicate_note_ids_keep_the_first_note(tmp_path, caplog):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "n1.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    write_json(notes / "n1.json", {"text": "The weather is nice"})
+    write_json(notes / "a.json", {"note_id": "n2", "text": FIG1_TEXT})
+    write_json(notes / "b.json", {"note_id": "n2", "text": "The weather is nice"})
+    loaded = load_notes(notes)
+    assert [(n.note_id, n.text) for n in loaded] == [
+        ("n1", TABLE3_TEXT),
+        ("n2", FIG1_TEXT),
+    ]
+    assert f"skipping {notes / 'n1.json'}: note id n1 already read from" in caplog.text
+    assert f"skipping {notes / 'b.json'}: note id n2 already read from" in caplog.text
+
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "annotations").iterdir()) == [
+        "n1.json",
+        "n2.json",
+    ]
+    assert read_json(out / "annotations" / "n1.json")["mentions"]
+    assert read_json(out / "annotations" / "n2.json")["mentions"]
+
+
+def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    write_json(notes / "int_text.json", {"text": 5})
+    write_json(notes / "int_id.json", {"note_id": 7, "text": "Patient has diabetes."})
+    write_json(notes / "null_patient.json", {"patient_id": None, "text": "BP 120/80."})
+    write_json(notes / "good.json", {"text": FIG1_TEXT})
+    assert [n.note_id for n in load_notes(notes)] == ["good"]
+    for name, fields in (
+        ("int_text", "text"),
+        ("int_id", "note_id"),
+        ("null_patient", "patient_id"),
+    ):
+        assert f"skipping {notes / name}.json: {fields} not a string" in caplog.text
+
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert [p.name for p in (out / "annotations").iterdir()] == ["good.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhirtwin.ner import ClinicalNote, extract_entities, load_patterns, segment
+from fhirtwin.ner import (
+    ClinicalNote,
+    _containing_sentence,
+    _resolve_overlaps,
+    extract_entities,
+    load_patterns,
+    segment,
+)
 from fhirtwin.terminology import EntityType, load_dictionary
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, write_dictionary
+from oracles import oracle_containing_sentence, oracle_resolve_overlaps
 
 
 def note(text, note_id="n1", patient_id="p1"):
@@ -226,6 +234,46 @@ def test_extraction_invariants_on_generated_text(index, patterns, text):
         assert sentence.start <= mention.start and mention.end <= sentence.end
     for first, second in zip(mentions, mentions[1:]):
         assert first.end <= second.start
+
+
+# ---------------------------------------------------------------------------
+# Sorted-interval lookups against the quadratic scans
+# ---------------------------------------------------------------------------
+
+# Starts and lengths from small ranges, so draws tie on length, on start and
+# on entity type, and spans nest, touch and overlap.
+candidate_strategy = st.builds(
+    lambda start, length, etype: (start, start + length, etype),
+    st.integers(0, 20),
+    st.integers(1, 6),
+    st.sampled_from(list(EntityType)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(candidate_strategy, min_size=1, max_size=30))
+def test_resolve_overlaps_matches_quadratic_reference(candidates):
+    assert _resolve_overlaps(candidates) == oracle_resolve_overlaps(candidates)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["a", "bc", "1", "2.5", ".", "!", "?", "\n", " ", "e.g.", "Dr."]
+        ),
+        max_size=16,
+    ).map("".join)
+)
+def test_containing_sentence_matches_linear_scan(text):
+    """Every non-empty span, including those crossing or touching a boundary."""
+    sentences = segment(text)
+    starts = [s.start for s in sentences]
+    for start in range(len(text) + 1):
+        for end in range(start + 1, len(text) + 2):
+            assert _containing_sentence(
+                sentences, starts, start, end
+            ) == oracle_containing_sentence(sentences, start, end), (start, end)
 
 
 def test_pattern_file_round_trip(tmp_path):

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import itertools
 
-from fhirtwin.ner import ClinicalNote, extract_entities, segment
-from fhirtwin.normalizer import normalize_all
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fhirtwin.ner import ClinicalNote, EntityMention, extract_entities, segment
+from fhirtwin.normalizer import AnnotatedMention, normalize_all
 from fhirtwin.relations import DEFAULT_CUES, RelationType, extract_relations, load_cues
 from fhirtwin.terminology import EntityType
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
+from oracles import oracle_containing_sentence, oracle_extract_relations
 
 
 def annotate(text, pipeline):
@@ -139,3 +143,81 @@ def test_load_cues(tmp_path):
     path.write_text("# attribution cues\ndue to\nsecondary to\n", encoding="utf-8")
     assert load_cues(path) == ("due to", "secondary to")
     assert set(DEFAULT_CUES) <= {"due to", "secondary to", "consistent with"}
+
+
+# ---------------------------------------------------------------------------
+# One sweep and bisection against the quadratic scans
+# ---------------------------------------------------------------------------
+
+# Notes are drawn as runs of cue words, filler, bracketed words and sentence
+# ends; mentions as short spans laid left to right over that text with drawn
+# gaps, so they can touch each other, touch or straddle a cue, and start or
+# end a sentence. Spans crossing a sentence are left out, as extraction
+# drops them.
+_PIECES = [
+    "z",
+    "zz",
+    "(z)",
+    " ",
+    " ",
+    ", ",
+    " due to ",
+    "due to",
+    "secondary to",
+    " consistent with ",
+    "to",
+    ". ",
+    "\n",
+    "!",
+]
+
+
+@st.composite
+def drawn_notes(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_PIECES), min_size=6, max_size=40)))
+    sentences = segment(text)
+    annotated = []
+    end = 0
+    while True:
+        start = end + draw(st.integers(0, 4))
+        end = start + draw(st.integers(1, 6))
+        if end > len(text):
+            break
+        sentence_index = oracle_containing_sentence(sentences, start, end)
+        if sentence_index is None:
+            continue
+        mention = EntityMention(
+            mention_id=f"g:{start}-{end}",
+            note_id="g",
+            start=start,
+            end=end,
+            text=text[start:end],
+            etype=draw(st.sampled_from(list(EntityType))),
+            sentence_index=sentence_index,
+        )
+        annotated.append(AnnotatedMention(mention, None))
+    return annotated, sentences, text
+
+
+@settings(max_examples=500)
+@given(
+    drawn_notes(),
+    st.lists(
+        st.sampled_from(["due to", "secondary to", "consistent with", "to"]),
+        unique=True,
+    ),
+)
+def test_relations_match_quadratic_reference(note, cues):
+    annotated, sentences, text = note
+    assert extract_relations(annotated, sentences, text, cues) == (
+        oracle_extract_relations(annotated, sentences, text, cues)
+    )
+
+
+def test_relations_match_reference_on_a_long_medication_list(pipeline):
+    items = "Aspirin 81mg daily, Metformin 500mg twice daily, Lisinopril 10mg daily"
+    text = f"Edema due to heart failure. Started {', '.join([items] * 40)}."
+    annotated, sentences, _ = annotate(text, pipeline)
+    rels = extract_relations(annotated, sentences, text, pipeline.cues)
+    assert rels == oracle_extract_relations(annotated, sentences, text, pipeline.cues)
+    assert sum(r.rtype == RelationType.HAS_DOSAGE for r in rels) == 120
