@@ -12,8 +12,9 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import (
@@ -38,7 +39,7 @@ logger = logging.getLogger("fhirtwin")
 
 
 def _write_json(path: Path, body) -> None:
-    path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
+    path.write_text(fhir_assembly.to_json(body), encoding="utf-8")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -66,15 +67,47 @@ def _load_manifest(directory: Path) -> tuple[Optional[dict], Path]:
     return None, directory
 
 
+def _read_note(path: Path, meta: dict[str, dict]) -> ClinicalNote:
+    """Read one ``.txt`` or ``.json`` note file.
+
+    Raises ``OSError`` when the file cannot be read, and ``ValueError``
+    saying why it holds no usable note; a file that is not UTF-8 or not
+    valid JSON raises a subclass of it.
+    """
+    if path.suffix == ".txt":
+        entry = meta.get(path.stem, {})
+        return ClinicalNote(
+            note_id=path.stem,
+            patient_id=entry.get("patient_id", path.stem),
+            timestamp=entry.get("timestamp"),
+            text=_read_note_text(path),
+        )
+    body = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(body, dict):
+        raise ValueError("not a JSON object")
+    if "text" not in body:
+        raise ValueError("no text field")
+    fields = {
+        "note_id": body.get("note_id", path.stem),
+        "patient_id": body.get("patient_id", path.stem),
+        "text": body["text"],
+    }
+    not_strings = [k for k, value in fields.items() if not isinstance(value, str)]
+    if not_strings:
+        raise ValueError(f"{', '.join(not_strings)} not a string")
+    return ClinicalNote(timestamp=body.get("timestamp"), **fields)
+
+
 def load_notes(directory: str | Path) -> list[ClinicalNote]:
     """Read notes from a directory of ``.txt``/``.json`` files.
 
     When a corpus manifest is present its per-note patient ids and
     timestamps are used; bare text files fall back to the file stem for
-    both ids and carry no timestamp. A ``.json`` note with no ``text``
-    field, or whose ``text``, ``note_id`` or ``patient_id`` is not a string,
-    is skipped with a warning, and so is every note after the first with
-    the same note id.
+    both ids and carry no timestamp. A file that cannot be read, is not
+    UTF-8, or is a ``.json`` note that is not a JSON object with a string
+    ``text`` field and string, non-empty ``note_id`` and ``patient_id``, is
+    skipped with a warning, and so is every note after the first with the
+    same note id.
     """
     directory = Path(directory)
     manifest, notes_dir = _load_manifest(directory)
@@ -82,36 +115,15 @@ def load_notes(directory: str | Path) -> list[ClinicalNote]:
     if manifest:
         meta = {entry["note_id"]: entry for entry in manifest.get("notes", [])}
 
+    paths = sorted(notes_dir.glob("*.txt")) + sorted(
+        path for path in notes_dir.glob("*.json") if path.name != "manifest.json"
+    )
     loaded: list[tuple[ClinicalNote, Path]] = []
-    for path in sorted(notes_dir.glob("*.txt")):
-        note_id = path.stem
-        entry = meta.get(note_id, {})
-        note = ClinicalNote(
-            note_id=note_id,
-            patient_id=entry.get("patient_id", note_id),
-            timestamp=entry.get("timestamp"),
-            text=_read_note_text(path),
-        )
-        loaded.append((note, path))
-    for path in sorted(notes_dir.glob("*.json")):
-        if path.name == "manifest.json":
-            continue
-        body = json.loads(path.read_text(encoding="utf-8"))
-        if "text" not in body:
-            logger.warning("skipping %s: no text field", path)
-            continue
-        fields = {
-            "note_id": body.get("note_id", path.stem),
-            "patient_id": body.get("patient_id", path.stem),
-            "text": body["text"],
-        }
-        not_strings = [k for k, value in fields.items() if not isinstance(value, str)]
-        if not_strings:
-            logger.warning(
-                "skipping %s: %s not a string", path, ", ".join(not_strings)
-            )
-            continue
-        loaded.append((ClinicalNote(timestamp=body.get("timestamp"), **fields), path))
+    for path in paths:
+        try:
+            loaded.append((_read_note(path, meta), path))
+        except (OSError, ValueError) as exc:
+            logger.warning("skipping %s: %s", path, exc)
     # The sort is stable, so of notes sharing an id the ``.txt`` file wins,
     # then the first ``.json`` file by name.
     loaded.sort(key=lambda pair: pair[0].note_id)
@@ -319,33 +331,50 @@ def cmd_twin(args: argparse.Namespace) -> int:
     return 0
 
 
+class CorpusFileError(Exception):
+    """A file of a synthesized corpus is missing or malformed."""
+
+
+@contextmanager
+def _corpus_file(path: Path) -> Iterator[None]:
+    """Turn a failure to read or parse ``path`` into a CorpusFileError."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorpusFileError(
+            f"bad corpus file {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
-    """Load a synthesized corpus (manifest, notes, gold, references)."""
+    """Load a synthesized corpus (manifest, notes, gold, references).
+
+    Raises EmptyCorpusError when there is no manifest or it lists no notes,
+    and CorpusFileError naming the first file that is missing or malformed.
+    """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
         raise EmptyCorpusError(f"no manifest.json under {corpus_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    with _corpus_file(manifest_path):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        entries = [
+            (entry["note_id"], entry["patient_id"], entry.get("timestamp"))
+            for entry in manifest.get("notes", [])
+        ]
     cases: list[CorpusCase] = []
-    for entry in manifest.get("notes", []):
-        note_id = entry["note_id"]
-        patient_id = entry["patient_id"]
-        note = ClinicalNote(
-            note_id=note_id,
-            patient_id=patient_id,
-            timestamp=entry.get("timestamp"),
-            text=_read_note_text(corpus_dir / "notes" / f"{note_id}.txt"),
-        )
-        gold = gold_from_dict(
-            json.loads(
-                (corpus_dir / "gold" / f"{note_id}.json").read_text(encoding="utf-8")
+    for note_id, patient_id, timestamp in entries:
+        note_path = corpus_dir / "notes" / f"{note_id}.txt"
+        with _corpus_file(note_path):
+            note = ClinicalNote(note_id, patient_id, timestamp, _read_note_text(note_path))
+        gold_path = corpus_dir / "gold" / f"{note_id}.json"
+        with _corpus_file(gold_path):
+            gold = gold_from_dict(json.loads(gold_path.read_text(encoding="utf-8")))
+        reference_path = corpus_dir / "references" / f"twin_{patient_id}.json"
+        with _corpus_file(reference_path):
+            reference = fhir_assembly.bundle_from_json(
+                reference_path.read_text(encoding="utf-8")
             )
-        )
-        reference = fhir_assembly.bundle_from_json(
-            (corpus_dir / "references" / f"twin_{patient_id}.json").read_text(
-                encoding="utf-8"
-            )
-        )
         cases.append(CorpusCase(note=note, gold=gold, reference=reference))
     if not cases:
         raise EmptyCorpusError(f"manifest under {corpus_dir} lists no notes")
@@ -357,7 +386,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         cases = load_corpus(args.corpus)
         report = evaluate_corpus(cases, config)
-    except EmptyCorpusError as exc:
+    except (EmptyCorpusError, CorpusFileError) as exc:
         logger.error("%s", exc)
         return 2
     out = Path(args.out) if args.out else config.out_dir

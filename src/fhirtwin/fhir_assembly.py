@@ -457,6 +457,59 @@ def bundle(
 # Serialization
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def to_json(value) -> str:
+    """Return ``json.dumps(value, indent=2) + "\\n"``, built without the
+    stdlib's pure-Python indent encoder.
+
+    ``value`` is a JSON value built from ``dict`` with ``str`` keys,
+    ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``.
+    Strings and keys go through the C ASCII escaper the stdlib uses, and
+    every other scalar through ``json.dumps``, so the bytes match. A key
+    that is not a ``str`` raises ``TypeError`` from the escaper, where the
+    stdlib would coerce it; every writer in this package builds its dicts
+    with ``str`` keys only.
+    """
+    parts: list[str] = []
+    _emit(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(value, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "{" + inner
+        for key, item in value.items():
+            emit(separator)
+            emit(_encode_str(key))
+            emit(": ")
+            _emit(item, inner, emit)
+            separator = comma
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _emit(item, inner, emit)
+            separator = comma
+        emit(newline + "]")
+    else:
+        emit(json.dumps(value))
+
 
 def resource_to_dict(resource: FhirResource) -> dict:
     body = {"resourceType": resource.resource_type, "id": resource.id}
@@ -473,7 +526,7 @@ def bundle_to_dict(twin: TwinBundle) -> dict:
 
 
 def bundle_to_json(twin: TwinBundle) -> str:
-    return json.dumps(bundle_to_dict(twin), indent=2) + "\n"
+    return to_json(bundle_to_dict(twin))
 
 
 def resource_from_dict(body: dict) -> FhirResource:
@@ -506,4 +559,4 @@ def issues_to_json(issues: Sequence[ValidationIssue]) -> str:
         }
         for issue in issues
     ]
-    return json.dumps(rows, indent=2) + "\n"
+    return to_json(rows)

@@ -176,6 +176,39 @@ def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
     assert [p.name for p in (out / "annotations").iterdir()] == ["good.json"]
 
 
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("empty_id.json", b'{"note_id": "", "text": "BP 120/80."}', "note_id must be non-empty"),
+        ("latin1.txt", "Fi\xe8vre.".encode("latin-1"), "can't decode byte 0xe8"),
+        ("broken.json", b'{"text": "BP 120/80."', "Expecting ','"),
+        ("string.json", b'"BP 120/80 and some text"', "not a JSON object"),
+        ("folder.txt", None, "Is a directory"),
+    ],
+    ids=["empty_note_id", "not_utf8", "not_json", "not_an_object", "directory"],
+)
+def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "n1.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    if content is None:
+        (notes / name).mkdir()
+    else:
+        (notes / name).write_bytes(content)
+    assert [n.note_id for n in load_notes(notes)] == ["n1"]
+    assert f"skipping {notes / name}: " in caplog.text
+    assert reason in caplog.text
+
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert main(["twin", str(notes), "--out", str(out)]) == 0
+    assert [p.name for p in (out / "annotations").iterdir()] == ["n1.json"]
+    assert sorted(p.name for p in (out / "bundles").iterdir()) == [
+        "twin_n1.issues.json",
+        "twin_n1.json",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # twin
 # ---------------------------------------------------------------------------
@@ -260,6 +293,37 @@ def test_evaluate_no_relations_reports_dash(corpus, tmp_path):
 
 def test_evaluate_empty_corpus(tmp_path):
     assert main(["evaluate", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "relative, content",
+    [
+        ("gold/p001-note.json", None),
+        ("gold/p001-note.json", "{}"),
+        ("references/twin_p001.json", "[]"),
+        ("notes/p001-note.txt", b"\xff"),
+        ("manifest.json", '{"notes": [{"note_id": "p001-note"}]}'),
+    ],
+    ids=[
+        "gold_missing",
+        "gold_without_note_id",
+        "reference_not_a_bundle",
+        "note_not_utf8",
+        "manifest_entry_without_patient",
+    ],
+)
+def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, content):
+    path = corpus / relative
+    if content is None:
+        path.unlink()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert f"bad corpus file {path}: " in caplog.text
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

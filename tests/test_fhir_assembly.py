@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhirtwin.fhir_assembly import (
     EmptyPatientIdError,
@@ -13,6 +15,7 @@ from fhirtwin.fhir_assembly import (
     bundle_from_json,
     bundle_to_json,
     issues_to_json,
+    to_json,
     validate,
 )
 from fhirtwin.ner import ClinicalNote
@@ -238,6 +241,46 @@ def test_emitted_bundles_revalidate_clean(pipeline):
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+# Any code point, lone surrogates included, with the characters JSON must
+# escape drawn often.
+json_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+    ),
+    max_size=8,
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_to_json_matches_stdlib_indent_encoder(value):
+    assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_to_json_rejects_non_string_keys(key):
+    with pytest.raises(TypeError):
+        to_json({"outer": [{key: "value"}]})
 
 
 def test_bundle_round_trip(pipeline):
