@@ -56,15 +56,53 @@ def _read_note_text(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_manifest(directory: Path) -> tuple[Optional[dict], Path]:
-    """Find a corpus manifest beside or above a notes directory."""
+def _check_strings(fields: dict) -> None:
+    """Raise ``ValueError`` naming each field whose value is not a string;
+    a ``timestamp`` may also be ``None``."""
+    not_strings = [
+        key
+        for key, value in fields.items()
+        if not isinstance(value, str) and not (key == "timestamp" and value is None)
+    ]
+    if not_strings:
+        raise ValueError(f"{', '.join(not_strings)} not a string")
+
+
+def _manifest_entries(manifest) -> list[dict]:
+    """The note entries of a parsed corpus manifest.
+
+    Raises ``ValueError`` unless they are objects with a string ``note_id``
+    and, where present, a string ``patient_id`` and ``timestamp``.
+    """
+    entries = manifest.get("notes", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("not a JSON object with a list of objects as notes")
+    for entry in entries:
+        optional = {k: entry[k] for k in ("patient_id", "timestamp") if k in entry}
+        _check_strings({"note_id": entry.get("note_id"), **optional})
+    return entries
+
+
+def _load_manifest(directory: Path) -> tuple[dict[str, dict], Path]:
+    """Find a corpus manifest beside or above a notes directory.
+
+    Returns its entries by note id and the directory that holds the notes.
+    A manifest that cannot be read or that ``_manifest_entries`` rejects is
+    skipped with a warning, and the notes are read without its metadata.
+    """
     for root in (directory, directory.parent):
         manifest_path = root / "manifest.json"
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             notes_dir = root / "notes"
-            return manifest, notes_dir if notes_dir.is_dir() else directory
-    return None, directory
+            try:
+                text = manifest_path.read_text(encoding="utf-8")
+                entries = _manifest_entries(json.loads(text))
+            except (OSError, ValueError) as exc:
+                logger.warning("skipping %s: %s", manifest_path, exc)
+                entries = []
+            meta = {entry["note_id"]: entry for entry in entries}
+            return meta, notes_dir if notes_dir.is_dir() else directory
+    return {}, directory
 
 
 def _read_note(path: Path, meta: dict[str, dict]) -> ClinicalNote:
@@ -90,12 +128,11 @@ def _read_note(path: Path, meta: dict[str, dict]) -> ClinicalNote:
     fields = {
         "note_id": body.get("note_id", path.stem),
         "patient_id": body.get("patient_id", path.stem),
+        "timestamp": body.get("timestamp"),
         "text": body["text"],
     }
-    not_strings = [k for k, value in fields.items() if not isinstance(value, str)]
-    if not_strings:
-        raise ValueError(f"{', '.join(not_strings)} not a string")
-    return ClinicalNote(timestamp=body.get("timestamp"), **fields)
+    _check_strings(fields)
+    return ClinicalNote(**fields)
 
 
 def load_notes(directory: str | Path) -> list[ClinicalNote]:
@@ -103,17 +140,15 @@ def load_notes(directory: str | Path) -> list[ClinicalNote]:
 
     When a corpus manifest is present its per-note patient ids and
     timestamps are used; bare text files fall back to the file stem for
-    both ids and carry no timestamp. A file that cannot be read, is not
-    UTF-8, or is a ``.json`` note that is not a JSON object with a string
-    ``text`` field and string, non-empty ``note_id`` and ``patient_id``, is
-    skipped with a warning, and so is every note after the first with the
-    same note id.
+    both ids and carry no timestamp. A malformed manifest is skipped with a
+    warning. A file that cannot be read, is not UTF-8, or is a ``.json``
+    note that is not a JSON object with a string ``text`` field, string,
+    non-empty ``note_id`` and ``patient_id`` and a string or null
+    ``timestamp``, is skipped with a warning, and so is every note after
+    the first with the same note id.
     """
     directory = Path(directory)
-    manifest, notes_dir = _load_manifest(directory)
-    meta: dict[str, dict] = {}
-    if manifest:
-        meta = {entry["note_id"]: entry for entry in manifest.get("notes", [])}
+    meta, notes_dir = _load_manifest(directory)
 
     paths = sorted(notes_dir.glob("*.txt")) + sorted(
         path for path in notes_dir.glob("*.json") if path.name != "manifest.json"
@@ -226,7 +261,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         for case in bucket:
             split_of[case.note.note_id] = name
 
-    out = Path(args.out) if args.out else config.out_dir
+    out = config.out_dir
     (out / "notes").mkdir(parents=True, exist_ok=True)
     (out / "gold").mkdir(parents=True, exist_ok=True)
     (out / "references").mkdir(parents=True, exist_ok=True)
@@ -276,7 +311,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     pipeline = Pipeline(config)
     notes = load_notes(args.notes)
-    out = Path(args.out) if args.out else config.out_dir
+    out = config.out_dir
     (out / "annotations").mkdir(parents=True, exist_ok=True)
     for note in notes:
         try:
@@ -301,7 +336,7 @@ def cmd_twin(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     pipeline = Pipeline(config)
     notes = load_notes(args.notes)
-    out = Path(args.out) if args.out else config.out_dir
+    out = config.out_dir
     (out / "bundles").mkdir(parents=True, exist_ok=True)
     by_patient: dict[str, list[ClinicalNote]] = {}
     for note in notes:
@@ -360,7 +395,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         entries = [
             (entry["note_id"], entry["patient_id"], entry.get("timestamp"))
-            for entry in manifest.get("notes", [])
+            for entry in _manifest_entries(manifest)
         ]
     cases: list[CorpusCase] = []
     for note_id, patient_id, timestamp in entries:
@@ -389,7 +424,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (EmptyCorpusError, CorpusFileError) as exc:
         logger.error("%s", exc)
         return 2
-    out = Path(args.out) if args.out else config.out_dir
+    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report.to_dict())
     _write_text(out / "summary.tsv", report.summary_row())

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from fhirtwin.fhir_assembly import FhirResource, TwinBundle
+from fhirtwin.fhir_assembly import PROFILE, FhirResource, TwinBundle
 from fhirtwin.ner import ClinicalNote, EntityMention
 from fhirtwin.pipeline import NoteAnnotation, Pipeline, PipelineConfig
 from fhirtwin.relations import Relation, RelationType
@@ -121,9 +121,22 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _counted_f1(
+def mention_key(note_id: str, mention: EntityMention | GoldMention) -> tuple:
+    return (note_id, mention.start, mention.end, mention.etype.value)
+
+
+gold_mention_key = mention_key
+
+
+def ner_f1(
     predicted: Iterable[tuple], gold: Iterable[tuple]
 ) -> tuple[float, float, float]:
+    """Micro precision/recall/F1 over mention or relation keys.
+
+    Mention keys are (note_id, start, end, etype) and relation keys
+    (note_id, rtype, head span, tail span). Each gold key matches at most
+    one prediction and vice versa.
+    """
     predicted_counts = Counter(predicted)
     gold_counts = Counter(gold)
     tp = sum((predicted_counts & gold_counts).values())
@@ -132,29 +145,7 @@ def _counted_f1(
     return _prf(tp, fp, fn)
 
 
-def mention_key(note_id: str, mention: EntityMention) -> tuple:
-    return (note_id, mention.start, mention.end, mention.etype.value)
-
-
-def gold_mention_key(note_id: str, mention: GoldMention) -> tuple:
-    return (note_id, mention.start, mention.end, mention.etype.value)
-
-
-def ner_f1(
-    predicted: Sequence[tuple], gold: Sequence[tuple]
-) -> tuple[float, float, float]:
-    """Micro precision/recall/F1 over (note_id, start, end, etype) keys.
-
-    Each gold mention matches at most one prediction and vice versa.
-    """
-    return _counted_f1(predicted, gold)
-
-
-def relation_f1(
-    predicted: Sequence[tuple], gold: Sequence[tuple]
-) -> tuple[float, float, float]:
-    """As ner_f1, over (note_id, rtype, head span, tail span) keys."""
-    return _counted_f1(predicted, gold)
+relation_f1 = ner_f1
 
 
 def relation_keys(
@@ -182,14 +173,12 @@ def gold_relation_keys(note_id: str, gold: GoldAnnotations) -> list[tuple]:
 
 #: Profile-required fields per resource type; these drive both scores.
 REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
-    "Condition": ("code", "clinicalStatus", "verificationStatus", "subject"),
-    "Observation": ("code", "valueString", "effectiveDateTime", "subject"),
-    "MedicationRequest": (
-        "medicationCodeableConcept",
-        "dosageInstruction",
-        "authoredOn",
+    resource_type: (
+        profile.code_field,
+        *(name for _, required, _ in profile.rules for name in required),
         "subject",
-    ),
+    )
+    for resource_type, profile in PROFILE.items()
 }
 
 _CODED_FIELDS = frozenset(
@@ -278,14 +267,11 @@ def semantic_completeness(generated: TwinBundle, reference: TwinBundle) -> float
     return numerator / denominator
 
 
-def interoperability_score(
-    generated: TwinBundle, reference: TwinBundle, match_weight: float = 0.5
-) -> float:
+def interoperability_score(generated: TwinBundle, reference: TwinBundle) -> float:
     """Composite of resource-level match F1 and per-pair field agreement.
 
-    score = w * F1(matched resources) + (1 - w) * mean field agreement,
-    with w = 0.5 by default. Both-empty bundles score 1; one-sided empty
-    bundles score 0.
+    score = 0.5 * F1(matched resources) + 0.5 * mean field agreement.
+    Both-empty bundles score 1; one-sided empty bundles score 0.
     """
     _check_same_patient(generated, reference)
     gen_resources = _scored_resources(generated)
@@ -307,7 +293,7 @@ def interoperability_score(
         ) / len(pairs)
     else:
         mean_agreement = 0.0
-    return match_weight * f1_match + (1.0 - match_weight) * mean_agreement
+    return 0.5 * f1_match + 0.5 * mean_agreement
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +357,6 @@ def evaluate_corpus(
     if not cases:
         raise EmptyCorpusError("corpus has no cases")
     pipeline = Pipeline(config)
-    score_relations = not (config.disable_relations or config.naive_mapping)
 
     predicted_mentions: list[tuple] = []
     gold_mentions: list[tuple] = []
@@ -404,7 +389,7 @@ def evaluate_corpus(
         gold_mentions.extend(note_gold_mentions)
         note_pred_relations = relation_keys(note_id, annotation.relations, mentions)
         note_gold_relations = gold_relation_keys(note_id, case.gold)
-        if score_relations:
+        if config.extracts_relations:
             predicted_relations.extend(note_pred_relations)
             gold_relations.extend(note_gold_relations)
         per_note.append(
@@ -435,7 +420,7 @@ def evaluate_corpus(
         )
 
     ner_p, ner_r, ner_f = ner_f1(predicted_mentions, gold_mentions)
-    if score_relations:
+    if config.extracts_relations:
         re_p, re_r, re_f = relation_f1(predicted_relations, gold_relations)
     else:
         re_p = re_r = re_f = None

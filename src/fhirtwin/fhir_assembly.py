@@ -3,9 +3,9 @@
 The digital-twin profile is intentionally small: Condition, Observation
 and MedicationRequest resources hang off a single Patient. Resource ids
 are content hashes of (patient, type, code, span start), so identical
-inputs always serialize to identical bytes. Validation is implemented
-directly against the profile rules below; resources failing any ERROR
-rule are kept out of the bundle.
+inputs always serialize to identical bytes. ``PROFILE`` states the profile
+once, and validation, bundle order and the evaluator's required fields are
+read from it; resources failing any ERROR rule are kept out of the bundle.
 
 Rule codes:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -32,10 +32,10 @@ from fhirtwin.ner import ClinicalNote, EntityType
 from fhirtwin.normalizer import (
     AnnotatedMention,
     NormalizedConcept,
+    SYSTEMS_BY_TYPE,
     split_observation_text,
 )
 from fhirtwin.relations import Relation, RelationType
-from fhirtwin.terminology import CodeSystem
 
 CLINICAL_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-clinical"
 VERIFICATION_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-ver-status"
@@ -43,11 +43,73 @@ VERIFICATION_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-ver-s
 DEFAULT_TIMESTAMP = "2024-01-01T00:00:00Z"
 PLACEHOLDER_DOSAGE = "as directed"
 
-_CONDITION_SYSTEMS = frozenset({CodeSystem.SNOMED.uri, CodeSystem.ICD10.uri})
-_OBSERVATION_SYSTEMS = frozenset({CodeSystem.LOINC.uri, CodeSystem.SNOMED.uri})
-_MEDICATION_SYSTEMS = frozenset({CodeSystem.RXNORM.uri})
 
-RESOURCE_ORDER = ("Patient", "Condition", "Observation", "MedicationRequest")
+@dataclass(frozen=True)
+class ResourceProfile:
+    """What the digital-twin profile requires of one resource type.
+
+    ``code_rule`` requires ``code_field`` to hold at least one coding, each
+    with a code and a system that ``SYSTEMS_BY_TYPE`` allows for
+    ``entity_type``. Each of ``rules`` is ``(rule, required fields,
+    message)`` and fails with ``message`` unless every field is non-empty.
+    W2 compares ``time_field``, when set, with the default timestamp.
+    """
+
+    entity_type: EntityType
+    code_field: str
+    code_rule: str
+    rules: tuple[tuple[str, tuple[str, ...], str], ...]
+    time_field: Optional[str] = None
+    allowed_systems: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        allowed = frozenset(s.uri for s in SYSTEMS_BY_TYPE[self.entity_type])
+        object.__setattr__(self, "allowed_systems", allowed)
+
+
+#: The digital-twin profile by resource type, in bundle order after the
+#: Patient. A type missing here is checked against S1 only.
+PROFILE: dict[str, ResourceProfile] = {
+    "Condition": ResourceProfile(
+        EntityType.CONDITION,
+        "code",
+        "C1",
+        (
+            (
+                "C2",
+                ("clinicalStatus", "verificationStatus"),
+                "clinicalStatus and verificationStatus are required",
+            ),
+        ),
+    ),
+    "Observation": ResourceProfile(
+        EntityType.OBSERVATION,
+        "code",
+        "O1",
+        (
+            (
+                "O2",
+                ("valueString", "effectiveDateTime"),
+                "a value and an effectiveDateTime are required",
+            ),
+        ),
+        time_field="effectiveDateTime",
+    ),
+    "MedicationRequest": ResourceProfile(
+        EntityType.MEDICATION,
+        "medicationCodeableConcept",
+        "M1",
+        (
+            (
+                "M1",
+                ("dosageInstruction",),
+                "at least one dosageInstruction is required",
+            ),
+            ("M2", ("authoredOn",), "authoredOn is required"),
+        ),
+        time_field="authoredOn",
+    ),
+}
 
 
 class EmptyPatientIdError(Exception):
@@ -76,9 +138,8 @@ class FhirResource:
     @property
     def code_field(self) -> str:
         """Name of the field that holds this resource's coded concept."""
-        if self.resource_type == "MedicationRequest":
-            return "medicationCodeableConcept"
-        return "code"
+        profile = PROFILE.get(self.resource_type)
+        return profile.code_field if profile else "code"
 
     def concept(self) -> dict:
         return self.fields.get(self.code_field) or {}
@@ -292,40 +353,6 @@ def assemble(
     return resources
 
 
-def _check_coding(
-    resource: FhirResource,
-    allowed: frozenset[str],
-    rule: str,
-    issues: list[ValidationIssue],
-) -> None:
-    code_field = resource.code_field
-    coding = resource.coding()
-    if not coding:
-        issues.append(
-            ValidationIssue(
-                resource.id, rule, Severity.ERROR, f"{code_field} has no coding"
-            )
-        )
-        return
-    for entry in coding:
-        system = entry.get("system", "")
-        if system not in allowed:
-            issues.append(
-                ValidationIssue(
-                    resource.id,
-                    rule,
-                    Severity.ERROR,
-                    f"{code_field} uses disallowed system {system!r}",
-                )
-            )
-        if not entry.get("code"):
-            issues.append(
-                ValidationIssue(
-                    resource.id, rule, Severity.ERROR, f"{code_field} coding lacks a code"
-                )
-            )
-
-
 def validate(
     resources: Iterable[FhirResource],
     patient: FhirResource,
@@ -355,74 +382,70 @@ def validate(
                     f"subject {subject_ref!r} does not reference the bundle patient",
                 )
             )
+        profile = PROFILE.get(resource.resource_type)
+        if profile is None:
+            continue
 
-        if resource.resource_type == "Condition":
-            _check_coding(resource, _CONDITION_SYSTEMS, "C1", issues)
-            if not fields.get("clinicalStatus") or not fields.get("verificationStatus"):
+        code_field, rule = profile.code_field, profile.code_rule
+        coding = (fields.get(code_field) or {}).get("coding") or []
+        if not coding:
+            issues.append(
+                ValidationIssue(
+                    resource.id, rule, Severity.ERROR, f"{code_field} has no coding"
+                )
+            )
+        for entry in coding:
+            system = entry.get("system", "")
+            if system not in profile.allowed_systems:
                 issues.append(
                     ValidationIssue(
                         resource.id,
-                        "C2",
+                        rule,
                         Severity.ERROR,
-                        "clinicalStatus and verificationStatus are required",
+                        f"{code_field} uses disallowed system {system!r}",
                     )
                 )
-        elif resource.resource_type == "Observation":
-            _check_coding(resource, _OBSERVATION_SYSTEMS, "O1", issues)
-            if not fields.get("valueString") or not fields.get("effectiveDateTime"):
+            if not entry.get("code"):
                 issues.append(
                     ValidationIssue(
                         resource.id,
-                        "O2",
+                        rule,
                         Severity.ERROR,
-                        "a value and an effectiveDateTime are required",
+                        f"{code_field} coding lacks a code",
                     )
                 )
-            elif default_timestamp and fields["effectiveDateTime"] == default_timestamp:
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        "W2",
-                        Severity.WARNING,
-                        "effectiveDateTime fell back to the default instant",
+
+        time_field = profile.time_field
+        for rule, required, message in profile.rules:
+            for name in required:
+                if not fields.get(name):
+                    issues.append(
+                        ValidationIssue(resource.id, rule, Severity.ERROR, message)
                     )
-                )
-        elif resource.resource_type == "MedicationRequest":
-            _check_coding(resource, _MEDICATION_SYSTEMS, "M1", issues)
-            dosage = fields.get("dosageInstruction") or []
-            if not dosage:
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        "M1",
-                        Severity.ERROR,
-                        "at least one dosageInstruction is required",
+                    break
+            else:  # every required field is present
+                if time_field in required:
+                    if default_timestamp and fields[time_field] == default_timestamp:
+                        issues.append(
+                            ValidationIssue(
+                                resource.id,
+                                "W2",
+                                Severity.WARNING,
+                                f"{time_field} fell back to the default instant",
+                            )
+                        )
+                elif "dosageInstruction" in required and any(
+                    d.get("text") == placeholder_dosage
+                    for d in fields["dosageInstruction"]
+                ):
+                    issues.append(
+                        ValidationIssue(
+                            resource.id,
+                            "W1",
+                            Severity.WARNING,
+                            "dosageInstruction is a placeholder",
+                        )
                     )
-                )
-            elif any(d.get("text") == placeholder_dosage for d in dosage):
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        "W1",
-                        Severity.WARNING,
-                        "dosageInstruction is a placeholder",
-                    )
-                )
-            if not fields.get("authoredOn"):
-                issues.append(
-                    ValidationIssue(
-                        resource.id, "M2", Severity.ERROR, "authoredOn is required"
-                    )
-                )
-            elif default_timestamp and fields["authoredOn"] == default_timestamp:
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        "W2",
-                        Severity.WARNING,
-                        "authoredOn fell back to the default instant",
-                    )
-                )
     return issues
 
 
@@ -433,14 +456,15 @@ def bundle(
 ) -> TwinBundle:
     """Group the patient and every ERROR-free resource into one bundle.
 
-    Entries are ordered Patient, Conditions, Observations, then
-    MedicationRequests, each group sorted by id; duplicate ids (the same
-    fact stated in several notes) collapse to their first occurrence.
+    Entries are ordered Patient, then one group per ``PROFILE`` type in its
+    order (Conditions, Observations, MedicationRequests), each group sorted
+    by id; duplicate ids (the same fact stated in several notes) collapse to
+    their first occurrence.
     """
     rejected = {i.resource_id for i in issues if i.severity == Severity.ERROR}
     entries: list[FhirResource] = [patient]
     seen: set[str] = {patient.id}
-    for resource_type in RESOURCE_ORDER[1:]:
+    for resource_type in PROFILE:
         group = sorted(
             (r for r in resources if r.resource_type == resource_type),
             key=lambda r: r.id,

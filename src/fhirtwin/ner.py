@@ -77,9 +77,6 @@ class Sentence:
     end: int
     index: int
 
-    def slice(self, text: str) -> str:
-        return text[self.start : self.end]
-
 
 @dataclass(frozen=True)
 class EntityMention:

@@ -22,7 +22,7 @@ from fhirtwin.fhir_assembly import (
     TwinBundle,
     ValidationIssue,
 )
-from fhirtwin.ner import ClinicalNote, PatternSet, Sentence
+from fhirtwin.ner import ClinicalNote, PatternSet
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
 from fhirtwin.relations import Relation
 from fhirtwin.terminology import TerminologyIndex
@@ -51,6 +51,16 @@ class PipelineConfig:
     split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     seed: int = 13
     max_ngram: int = ner.DEFAULT_MAX_NGRAM
+
+    @property
+    def normalizes(self) -> bool:
+        """Whether mentions are normalized; naive mapping implies not."""
+        return not (self.disable_normalization or self.naive_mapping)
+
+    @property
+    def extracts_relations(self) -> bool:
+        """Whether relations are extracted; naive mapping implies not."""
+        return not (self.disable_relations or self.naive_mapping)
 
     def resolved(self) -> "PipelineConfig":
         """Fill unset file paths from the bundled data directory."""
@@ -144,7 +154,6 @@ def build_config(
 @dataclass(frozen=True)
 class NoteAnnotation:
     note: ClinicalNote
-    sentences: tuple[Sentence, ...]
     annotated: tuple[AnnotatedMention, ...]
     relations: tuple[Relation, ...]
 
@@ -168,15 +177,15 @@ class Pipeline:
         cfg = self.config
         sentences = ner.segment(note.text)
         mentions = ner.extract_entities(note, self.index, self.patterns, cfg.max_ngram)
-        if cfg.disable_normalization or cfg.naive_mapping:
-            annotated = [AnnotatedMention(m, None) for m in mentions]
-        else:
+        if cfg.normalizes:
             annotated = normalize_all(mentions, self.index)
-        if cfg.disable_relations or cfg.naive_mapping:
-            rels: list[Relation] = []
         else:
+            annotated = [AnnotatedMention(m, None) for m in mentions]
+        if cfg.extracts_relations:
             rels = relations.extract_relations(annotated, sentences, note.text, self.cues)
-        return NoteAnnotation(note, tuple(sentences), tuple(annotated), tuple(rels))
+        else:
+            rels = []
+        return NoteAnnotation(note, tuple(annotated), tuple(rels))
 
     def twin(
         self, patient_id: str, notes: Sequence[ClinicalNote]

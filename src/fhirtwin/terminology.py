@@ -39,7 +39,7 @@ class MalformedRowError(TerminologyError):
 
 
 class UnknownSystemError(TerminologyError):
-    """A row names a code system that is not recognized (or not expected)."""
+    """A row names a code system that is not recognized."""
 
     def __init__(self, path: str | Path, line_no: int, tag: str):
         super().__init__(f"{path}:{line_no}: unknown code system {tag!r}")
@@ -65,8 +65,6 @@ class CodeSystem(Enum):
 SYSTEM_PRECEDENCE: dict[CodeSystem, int] = {
     system: rank for rank, system in enumerate(CodeSystem)
 }
-
-URI_TO_SYSTEM: dict[str, CodeSystem] = {system.uri: system for system in CodeSystem}
 
 
 class EntityType(Enum):
@@ -132,9 +130,7 @@ class TerminologyIndex:
             return ()
         return self.entries.get(canonical, ())
 
-    def lookup(
-        self, surface: str, type_filter: Optional[EntityType] = None
-    ) -> list[ConceptEntry]:
+    def lookup(self, surface: str) -> list[ConceptEntry]:
         """All entries matching the query directly or through a synonym.
 
         Results are ordered by system precedence (SNOMED, ICD10, LOINC,
@@ -142,11 +138,7 @@ class TerminologyIndex:
         Unknown surfaces return an empty list.
         """
         return sorted(
-            _first_per_identity(
-                entry
-                for entry in self.exact(surface) + self.via_synonym(surface)
-                if type_filter is None or entry.entity_type == type_filter
-            ),
+            _first_per_identity(self.exact(surface) + self.via_synonym(surface)),
             key=ConceptEntry.sort_key,
         )
 
@@ -197,15 +189,12 @@ def _iter_csv_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
             yield line_no, next(csv.reader([raw]))
 
 
-def load_dictionary(
-    path: str | Path, expected_system: Optional[CodeSystem] = None
-) -> TerminologyIndex:
+def load_dictionary(path: str | Path) -> TerminologyIndex:
     """Load one dictionary file into a fresh index.
 
     Any malformed row aborts the load; no partial index is returned.
     Repeated (system, code) pairs are legal and simply register additional
-    surface forms for the same concept. When ``expected_system`` is given,
-    rows tagged with any other system are rejected.
+    surface forms for the same concept.
     """
     path = Path(path)
     staged: dict[str, list[ConceptEntry]] = {}
@@ -224,8 +213,6 @@ def load_dictionary(
             system = CodeSystem[raw_system.upper()]
         except KeyError:
             raise UnknownSystemError(path, line_no, raw_system) from None
-        if expected_system is not None and system != expected_system:
-            raise UnknownSystemError(path, line_no, raw_system)
         try:
             entity_type = EntityType[raw_type.upper()]
         except KeyError:

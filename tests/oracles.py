@@ -1,14 +1,16 @@
-"""Brute-force oracles for the scores and for span extraction.
+"""Brute-force oracles for the scores, validation and span extraction.
 
 The scoring oracles re-derive every metric from first principles over
 plain JSON dictionaries: exhaustive assignment search for the F1 matching,
-quadratic scans instead of grouping for the bundle scores. The extraction
-oracles are the straightforward quadratic scans that the library replaced
-with sorted-interval lookups: each candidate against every accepted span,
-each span against every sentence, each dosage or cue against every mention
-of its sentence. They share only definitions with the library (the metric
-definitions, the overlap tie-break priority, the relation types), never
-its code paths.
+quadratic scans instead of grouping for the bundle scores. The validation
+oracle writes the profile rules out as one branch per resource type, where
+the library reads them from its profile table. The extraction oracles are
+the straightforward quadratic scans that the library replaced with
+sorted-interval lookups: each candidate against every accepted span, each
+span against every sentence, each dosage or cue against every mention of
+its sentence. They share only definitions with the library (the metric
+definitions, the allowed code systems, the overlap tie-break priority, the
+relation types), never its code paths.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 
 from fhirtwin.fhir_assembly import TwinBundle, resource_to_dict
 from fhirtwin.ner import _ETYPE_PRIORITY
+from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.terminology import EntityType
 
@@ -240,3 +243,123 @@ def oracle_extract_relations(annotated, sentences, note_text, cues):
                     relation, (sentence.index, start_of[head.mention_id], "symptom-of")
                 )
     return sorted(found, key=found.__getitem__)
+
+
+# ---------------------------------------------------------------------------
+# Validation: one branch per resource type
+# ---------------------------------------------------------------------------
+
+#: Coded field, coding rule and entity type (for its allowed systems).
+_CODING = {
+    "Condition": ("code", "C1", EntityType.CONDITION),
+    "Observation": ("code", "O1", EntityType.OBSERVATION),
+    "MedicationRequest": ("medicationCodeableConcept", "M1", EntityType.MEDICATION),
+}
+
+
+def _oracle_coding(resource, issues: list) -> None:
+    code_field, rule, etype = _CODING[resource.resource_type]
+    allowed = {system.uri for system in SYSTEMS_BY_TYPE[etype]}
+    coding = (resource.fields.get(code_field) or {}).get("coding") or []
+    if not coding:
+        issues.append((resource.id, rule, "ERROR", f"{code_field} has no coding"))
+        return
+    for entry in coding:
+        system = entry.get("system", "")
+        if system not in allowed:
+            issues.append(
+                (
+                    resource.id,
+                    rule,
+                    "ERROR",
+                    f"{code_field} uses disallowed system {system!r}",
+                )
+            )
+        if not entry.get("code"):
+            issues.append(
+                (resource.id, rule, "ERROR", f"{code_field} coding lacks a code")
+            )
+
+
+def oracle_validate(
+    resources, patient, default_timestamp=None, placeholder_dosage="as directed"
+) -> list[tuple]:
+    """The profile rules written out per resource type, as
+    ``(resource_id, rule, severity, message)`` tuples in issue order."""
+    issues: list[tuple] = []
+    expected_subject = f"Patient/{patient.id}"
+    for resource in resources:
+        fields = resource.fields
+        if resource.resource_type == "Patient":
+            continue
+
+        subject_ref = (fields.get("subject") or {}).get("reference", "")
+        if subject_ref != expected_subject:
+            issues.append(
+                (
+                    resource.id,
+                    "S1",
+                    "ERROR",
+                    f"subject {subject_ref!r} does not reference the bundle patient",
+                )
+            )
+
+        if resource.resource_type == "Condition":
+            _oracle_coding(resource, issues)
+            if not fields.get("clinicalStatus") or not fields.get("verificationStatus"):
+                issues.append(
+                    (
+                        resource.id,
+                        "C2",
+                        "ERROR",
+                        "clinicalStatus and verificationStatus are required",
+                    )
+                )
+        elif resource.resource_type == "Observation":
+            _oracle_coding(resource, issues)
+            if not fields.get("valueString") or not fields.get("effectiveDateTime"):
+                issues.append(
+                    (
+                        resource.id,
+                        "O2",
+                        "ERROR",
+                        "a value and an effectiveDateTime are required",
+                    )
+                )
+            elif default_timestamp and fields["effectiveDateTime"] == default_timestamp:
+                issues.append(
+                    (
+                        resource.id,
+                        "W2",
+                        "WARNING",
+                        "effectiveDateTime fell back to the default instant",
+                    )
+                )
+        elif resource.resource_type == "MedicationRequest":
+            _oracle_coding(resource, issues)
+            dosage = fields.get("dosageInstruction") or []
+            if not dosage:
+                issues.append(
+                    (
+                        resource.id,
+                        "M1",
+                        "ERROR",
+                        "at least one dosageInstruction is required",
+                    )
+                )
+            elif any(d.get("text") == placeholder_dosage for d in dosage):
+                issues.append(
+                    (resource.id, "W1", "WARNING", "dosageInstruction is a placeholder")
+                )
+            if not fields.get("authoredOn"):
+                issues.append((resource.id, "M2", "ERROR", "authoredOn is required"))
+            elif default_timestamp and fields["authoredOn"] == default_timestamp:
+                issues.append(
+                    (
+                        resource.id,
+                        "W2",
+                        "WARNING",
+                        "authoredOn fell back to the default instant",
+                    )
+                )
+    return issues

@@ -162,12 +162,14 @@ def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
     write_json(notes / "int_text.json", {"text": 5})
     write_json(notes / "int_id.json", {"note_id": 7, "text": "Patient has diabetes."})
     write_json(notes / "null_patient.json", {"patient_id": None, "text": "BP 120/80."})
-    write_json(notes / "good.json", {"text": FIG1_TEXT})
+    write_json(notes / "dict_time.json", {"timestamp": {"x": 1}, "text": "BP 120/80."})
+    write_json(notes / "good.json", {"timestamp": None, "text": FIG1_TEXT})
     assert [n.note_id for n in load_notes(notes)] == ["good"]
     for name, fields in (
         ("int_text", "text"),
         ("int_id", "note_id"),
         ("null_patient", "patient_id"),
+        ("dict_time", "timestamp"),
     ):
         assert f"skipping {notes / name}.json: {fields} not a string" in caplog.text
 
@@ -202,6 +204,50 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
     out = tmp_path / "out"
     assert main(["extract", str(notes), "--out", str(out)]) == 0
     assert main(["twin", str(notes), "--out", str(out)]) == 0
+    assert [p.name for p in (out / "annotations").iterdir()] == ["n1.json"]
+    assert sorted(p.name for p in (out / "bundles").iterdir()) == [
+        "twin_n1.issues.json",
+        "twin_n1.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("{bad", "Expecting property name"),
+        ('["n1"]', "not a JSON object with a list of objects as notes"),
+        ('{"notes": {"note_id": "n1"}}', "not a JSON object with a list of objects"),
+        ('{"notes": ["n1"]}', "not a JSON object with a list of objects as notes"),
+        ('{"notes": [{"patient_id": "p1"}]}', "note_id not a string"),
+        (
+            '{"notes": [{"note_id": "n1", "timestamp": {"x": 1}}]}',
+            "timestamp not a string",
+        ),
+    ],
+    ids=[
+        "not_json",
+        "not_an_object",
+        "notes_not_a_list",
+        "entry_not_an_object",
+        "entry_without_note_id",
+        "timestamp_not_a_string",
+    ],
+)
+def test_bad_manifest_is_skipped(tmp_path, caplog, content, reason):
+    corpus = tmp_path / "corpus"
+    (corpus / "notes").mkdir(parents=True)
+    (corpus / "notes" / "n1.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    manifest = corpus / "manifest.json"
+    manifest.write_text(content, encoding="utf-8")
+    loaded = load_notes(corpus)
+    assert [(n.note_id, n.patient_id, n.timestamp) for n in loaded] == [
+        ("n1", "n1", None)
+    ]
+    assert f"skipping {manifest}: {reason}" in caplog.text
+
+    out = tmp_path / "out"
+    assert main(["extract", str(corpus), "--out", str(out)]) == 0
+    assert main(["twin", str(corpus), "--out", str(out)]) == 0
     assert [p.name for p in (out / "annotations").iterdir()] == ["n1.json"]
     assert sorted(p.name for p in (out / "bundles").iterdir()) == [
         "twin_n1.issues.json",
@@ -303,6 +349,11 @@ def test_evaluate_empty_corpus(tmp_path):
         ("references/twin_p001.json", "[]"),
         ("notes/p001-note.txt", b"\xff"),
         ("manifest.json", '{"notes": [{"note_id": "p001-note"}]}'),
+        (
+            "manifest.json",
+            '{"notes": [{"note_id": "p001-note", "patient_id": "p001", '
+            '"timestamp": 5}]}',
+        ),
     ],
     ids=[
         "gold_missing",
@@ -310,6 +361,7 @@ def test_evaluate_empty_corpus(tmp_path):
         "reference_not_a_bundle",
         "note_not_utf8",
         "manifest_entry_without_patient",
+        "manifest_timestamp_not_a_string",
     ],
 )
 def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, content):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fhirtwin.evaluation import (
+    REQUIRED_FIELDS,
     CorpusCase,
     EmptyCorpusError,
     PatientMismatchError,
@@ -84,6 +85,17 @@ def test_f1_matches_exhaustive_oracle_with_duplicates():
 # ---------------------------------------------------------------------------
 # Bundle scores with hand-counted fixtures
 # ---------------------------------------------------------------------------
+
+
+def test_required_fields_table():
+    assert list(REQUIRED_FIELDS.items()) == [
+        ("Condition", ("code", "clinicalStatus", "verificationStatus", "subject")),
+        ("Observation", ("code", "valueString", "effectiveDateTime", "subject")),
+        (
+            "MedicationRequest",
+            ("medicationCodeableConcept", "dosageInstruction", "authoredOn", "subject"),
+        ),
+    ]
 
 
 def concept(system, code, display):

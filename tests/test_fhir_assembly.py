@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.fhir_assembly import (
+    DEFAULT_TIMESTAMP,
+    PLACEHOLDER_DOSAGE,
     EmptyPatientIdError,
+    FhirResource,
     Severity,
     assemble,
     build_patient,
@@ -22,6 +25,7 @@ from fhirtwin.ner import ClinicalNote
 from fhirtwin.terminology import CodeSystem
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
+from oracles import oracle_validate
 
 
 def annotate(pipeline, text, note_id="n1", patient_id="p1", timestamp="2023-03-01T08:30:00Z"):
@@ -187,6 +191,71 @@ def test_each_violation_yields_its_rule(pipeline, resource_type, mutate, expecte
     assert errors[0].resource_id == victim.id
     twin = bundle(patient, mutated, issues)
     assert victim.id not in {r.id for r in twin.entries}
+
+
+_PATIENT = build_patient("p1")
+_TIMES = ["2023-03-01T08:30:00Z", DEFAULT_TIMESTAMP]
+_codings = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "system": st.sampled_from([s.uri for s in CodeSystem] + ["urn:local"]),
+            "code": st.sampled_from(["", "38341003"]),
+        },
+    ),
+    max_size=2,
+)
+# Each field a resource of any profiled type may carry, with a valid value
+# drawn more often than an emptied one; a field drawn as _DROP is left out.
+_DROP = object()
+_FIELD_VALUES = {
+    "code": st.fixed_dictionaries({"coding": _codings, "text": st.just("x")}),
+    "medicationCodeableConcept": st.fixed_dictionaries({"coding": _codings}),
+    "clinicalStatus": st.just({"coding": [{"code": "active"}]}),
+    "verificationStatus": st.just({"coding": [{"code": "confirmed"}]}),
+    "valueString": st.just("145/92"),
+    "effectiveDateTime": st.sampled_from(_TIMES),
+    "dosageInstruction": st.lists(
+        st.fixed_dictionaries(
+            {"text": st.sampled_from([PLACEHOLDER_DOSAGE, "10mg daily"])}
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    "authoredOn": st.sampled_from(_TIMES),
+    "subject": st.sampled_from(
+        [{"reference": f"Patient/{_PATIENT.id}"}, {"reference": "Patient/other"}]
+    ),
+}
+_resources = st.builds(
+    FhirResource,
+    resource_type=st.sampled_from(
+        ["Condition", "Observation", "MedicationRequest", "Patient", "Encounter"]
+    ),
+    id=st.sampled_from(["r0", "r1", "r2"]),
+    fields=st.fixed_dictionaries(
+        {
+            name: st.one_of(
+                values, values, st.sampled_from([_DROP, None, "", [], {}])
+            )
+            for name, values in _FIELD_VALUES.items()
+        }
+    ).map(lambda fields: {k: v for k, v in fields.items() if v is not _DROP}),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_resources, max_size=5),
+    st.sampled_from([None, DEFAULT_TIMESTAMP, _TIMES[0]]),
+    st.sampled_from([PLACEHOLDER_DOSAGE, "10mg daily"]),
+)
+def test_validate_matches_per_type_oracle(resources, default_timestamp, placeholder):
+    args = (resources, _PATIENT, default_timestamp, placeholder)
+    issues = validate(*args)
+    assert [
+        (i.resource_id, i.rule, i.severity.value, i.message) for i in issues
+    ] == oracle_validate(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,6 @@ def test_unknown_system_tag(tmp_path):
         load_dictionary(path)
 
 
-def test_expected_system_mismatch_rejected(tmp_path):
-    path = write_dictionary(tmp_path, ["aspirin,RXNORM,1191,Aspirin,MEDICATION"])
-    with pytest.raises(UnknownSystemError):
-        load_dictionary(path, expected_system=CodeSystem.SNOMED)
-    assert load_dictionary(path, expected_system=CodeSystem.RXNORM).lookup("aspirin")
-
-
 def test_unknown_entity_type_is_malformed(tmp_path):
     path = write_dictionary(tmp_path, ["aspirin,RXNORM,1191,Aspirin,DRUG"])
     with pytest.raises(MalformedRowError):
@@ -85,8 +78,8 @@ def test_duplicate_codes_register_extra_surfaces(tmp_path):
     assert index.lookup("gastroesophageal reflux disease")[0].code == "235595009"
 
 
-def test_lookup_metformin_with_type_filter(index):
-    entries = index.lookup("Metformin", EntityType.MEDICATION)
+def test_lookup_metformin(index):
+    entries = index.lookup("Metformin")
     assert [(e.system, e.code) for e in entries] == [(CodeSystem.RXNORM, "6809")]
 
 
