@@ -20,6 +20,7 @@ from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import (
     CorpusCase,
     EmptyCorpusError,
+    check_reference,
     evaluate_corpus,
     gold_from_dict,
     gold_to_dict,
@@ -385,7 +386,8 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
     """Load a synthesized corpus (manifest, notes, gold, references).
 
     Raises EmptyCorpusError when there is no manifest or it lists no notes,
-    and CorpusFileError naming the first file that is missing or malformed.
+    and CorpusFileError naming the first file that is missing or malformed,
+    including a reference whose fields ``check_reference`` rejects.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
@@ -410,6 +412,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
             reference = fhir_assembly.bundle_from_json(
                 reference_path.read_text(encoding="utf-8")
             )
+            check_reference(reference, patient_id)
         cases.append(CorpusCase(note=note, gold=gold, reference=reference))
     if not cases:
         raise EmptyCorpusError(f"manifest under {corpus_dir} lists no notes")

@@ -203,6 +203,39 @@ def _field_fingerprint(resource: FhirResource, field_name: str):
     return value
 
 
+def _list_of_objects(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+
+
+def check_reference(reference: TwinBundle, patient_id: str) -> None:
+    """Raise ``ValueError`` unless the scores can read ``reference`` as the
+    reference of ``patient_id``.
+
+    Its Patient must carry that identifier. Besides the Patient it may hold
+    only ``PROFILE`` resource types. Their coded, status and ``subject``
+    fields, when present, must be objects with a list of objects, if any,
+    as ``coding``, and a ``dosageInstruction`` must be a list of objects.
+    """
+    identifier = reference.patient_identifier()
+    if identifier != patient_id:
+        raise ValueError(f"Patient {identifier!r} is not the manifest's {patient_id!r}")
+    for resource in reference.entries:
+        where = f"{resource.resource_type} {resource.id!r}"
+        if resource.resource_type not in REQUIRED_FIELDS:
+            if resource.resource_type == "Patient":
+                continue
+            raise ValueError(f"{where}: not a profile resource type")
+        for name in (*sorted(_CODED_FIELDS), "subject"):
+            value = resource.fields.get(name)
+            if value is not None and not (
+                isinstance(value, dict) and _list_of_objects(value.get("coding") or [])
+            ):
+                raise ValueError(f"{where}: {name} is not an object with a list of codings")
+        dosage = resource.fields.get("dosageInstruction")
+        if dosage is not None and not _list_of_objects(dosage):
+            raise ValueError(f"{where}: dosageInstruction is not a list of objects")
+
+
 def _match_key(resource: FhirResource) -> tuple:
     primary = resource.primary_code()
     if primary is None:

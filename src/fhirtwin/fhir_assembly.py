@@ -7,6 +7,16 @@ inputs always serialize to identical bytes. ``PROFILE`` states the profile
 once, and validation, bundle order and the evaluator's required fields are
 read from it; resources failing any ERROR rule are kept out of the bundle.
 
+Resources share their coded blocks. ``assemble`` builds the
+``code``/``medicationCodeableConcept`` block once per (concept, text) and
+the ``subject`` block once per call, and every Condition holds the same
+``clinicalStatus`` and ``verificationStatus`` constants. These shared
+blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a write raises
+``TypeError``, while each still compares equal to its plain ``dict``/``list``
+form, and ``dict(block)`` or ``json.loads(json.dumps(block))`` give mutable
+copies. Because they never change, ``to_json`` renders each one once per
+indentation and reuses the text; plain containers are rendered every time.
+
 Rule codes:
 
 * C1  Condition.code carries a SNOMED or ICD-10 coding
@@ -42,6 +52,49 @@ VERIFICATION_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-ver-s
 
 DEFAULT_TIMESTAMP = "2024-01-01T00:00:00Z"
 PLACEHOLDER_DOSAGE = "as directed"
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} cannot be changed")
+
+
+class ReadOnlyDict(dict):
+    """A ``dict`` whose writes raise ``TypeError``; equal to its plain copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+
+class ReadOnlyList(list):
+    """A ``list`` whose writes raise ``TypeError``; equal to its plain copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return (type(self), (list(self),))
+
+
+def read_only(value):
+    """``value`` with every dict and list in it made read-only."""
+    if isinstance(value, dict):
+        return ReadOnlyDict({key: read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return ReadOnlyList(read_only(item) for item in value)
+    return value
+
+
+CLINICAL_STATUS_ACTIVE = read_only(
+    {"coding": [{"system": CLINICAL_STATUS_URI, "code": "active"}]}
+)
+VERIFICATION_STATUS_CONFIRMED = read_only(
+    {"coding": [{"system": VERIFICATION_STATUS_URI, "code": "confirmed"}]}
+)
 
 
 @dataclass(frozen=True)
@@ -182,17 +235,11 @@ def resource_id(
 
 def _codeable_concept(concept: Optional[NormalizedConcept], text: str) -> dict:
     if concept is None:
-        return {"text": text}
-    return {
-        "coding": [
-            {
-                "system": concept.system.uri,
-                "code": concept.code,
-                "display": concept.display,
-            }
-        ],
-        "text": text,
-    }
+        return ReadOnlyDict(text=text)
+    coding = ReadOnlyDict(
+        system=concept.system.uri, code=concept.code, display=concept.display
+    )
+    return ReadOnlyDict(coding=ReadOnlyList((coding,)), text=text)
 
 
 def _code_key(concept: Optional[NormalizedConcept], text: str) -> str:
@@ -212,8 +259,30 @@ def build_patient(patient_id: str) -> FhirResource:
     )
 
 
-def _subject(patient: FhirResource) -> dict:
-    return {"reference": f"Patient/{patient.id}"}
+class SharedBlocks:
+    """The read-only blocks that the resources built for one patient share.
+
+    ``subject`` references the patient; ``concept`` builds the coded block
+    and the identity key of a (concept, text) pair on first use and then
+    returns the same pair. ``assemble`` makes one per call; a builder given
+    none makes its own.
+    """
+
+    def __init__(self, patient: FhirResource):
+        self.subject = ReadOnlyDict(reference=f"Patient/{patient.id}")
+        self._concepts: dict = {}
+
+    def concept(
+        self, concept: Optional[NormalizedConcept], text: str
+    ) -> tuple[dict, str]:
+        key = (concept, text)
+        shared = self._concepts.get(key)
+        if shared is None:
+            shared = self._concepts[key] = (
+                _codeable_concept(concept, text),
+                _code_key(concept, text),
+            )
+        return shared
 
 
 def condition_resource(
@@ -222,19 +291,18 @@ def condition_resource(
     concept: Optional[NormalizedConcept],
     text: str,
     span_start: object,
+    blocks: Optional[SharedBlocks] = None,
 ) -> FhirResource:
+    blocks = blocks or SharedBlocks(patient)
+    code, code_key = blocks.concept(concept, text)
     return FhirResource(
         resource_type="Condition",
-        id=resource_id(patient_id, "Condition", _code_key(concept, text), span_start),
+        id=resource_id(patient_id, "Condition", code_key, span_start),
         fields={
-            "clinicalStatus": {
-                "coding": [{"system": CLINICAL_STATUS_URI, "code": "active"}]
-            },
-            "verificationStatus": {
-                "coding": [{"system": VERIFICATION_STATUS_URI, "code": "confirmed"}]
-            },
-            "code": _codeable_concept(concept, text),
-            "subject": _subject(patient),
+            "clinicalStatus": CLINICAL_STATUS_ACTIVE,
+            "verificationStatus": VERIFICATION_STATUS_CONFIRMED,
+            "code": code,
+            "subject": blocks.subject,
         },
     )
 
@@ -247,17 +315,18 @@ def observation_resource(
     value: str,
     effective: str,
     span_start: object,
+    blocks: Optional[SharedBlocks] = None,
 ) -> FhirResource:
-    fields: dict = {"code": _codeable_concept(concept, name_text)}
+    blocks = blocks or SharedBlocks(patient)
+    code, code_key = blocks.concept(concept, name_text)
+    fields: dict = {"code": code}
     if value:
         fields["valueString"] = value
     fields["effectiveDateTime"] = effective
-    fields["subject"] = _subject(patient)
+    fields["subject"] = blocks.subject
     return FhirResource(
         resource_type="Observation",
-        id=resource_id(
-            patient_id, "Observation", _code_key(concept, name_text), span_start
-        ),
+        id=resource_id(patient_id, "Observation", code_key, span_start),
         fields=fields,
     )
 
@@ -270,17 +339,18 @@ def medication_request_resource(
     dosage_texts: Sequence[str],
     authored_on: str,
     span_start: object,
+    blocks: Optional[SharedBlocks] = None,
 ) -> FhirResource:
+    blocks = blocks or SharedBlocks(patient)
+    code, code_key = blocks.concept(concept, text)
     return FhirResource(
         resource_type="MedicationRequest",
-        id=resource_id(
-            patient_id, "MedicationRequest", _code_key(concept, text), span_start
-        ),
+        id=resource_id(patient_id, "MedicationRequest", code_key, span_start),
         fields={
-            "medicationCodeableConcept": _codeable_concept(concept, text),
+            "medicationCodeableConcept": code,
             "dosageInstruction": [{"text": t} for t in dosage_texts],
             "authoredOn": authored_on,
-            "subject": _subject(patient),
+            "subject": blocks.subject,
         },
     )
 
@@ -310,6 +380,7 @@ def assemble(
         if tail is not None:
             dosages.setdefault(relation.head, []).append((tail.start, tail.text))
 
+    blocks = SharedBlocks(patient)
     resources: list[FhirResource] = []
     for item in annotated:
         mention, concept = item.mention, item.concept
@@ -320,7 +391,12 @@ def assemble(
         if mention.etype == EntityType.CONDITION:
             resources.append(
                 condition_resource(
-                    note.patient_id, patient, concept, mention.text, mention.start
+                    note.patient_id,
+                    patient,
+                    concept,
+                    mention.text,
+                    mention.start,
+                    blocks,
                 )
             )
         elif mention.etype == EntityType.OBSERVATION:
@@ -334,6 +410,7 @@ def assemble(
                     value,
                     timestamp,
                     mention.start,
+                    blocks,
                 )
             )
         elif mention.etype == EntityType.MEDICATION:
@@ -348,6 +425,7 @@ def assemble(
                     dosage_texts,
                     timestamp,
                     mention.start,
+                    blocks,
                 )
             )
     return resources
@@ -494,17 +572,34 @@ def to_json(value) -> str:
     every other scalar through ``json.dumps``, so the bytes match. A key
     that is not a ``str`` raises ``TypeError`` from the escaper, where the
     stdlib would coerce it; every writer in this package builds its dicts
-    with ``str`` keys only.
+    with ``str`` keys only. A ``ReadOnlyDict`` or ``ReadOnlyList`` is
+    rendered once per indentation and its text reused wherever it recurs:
+    keying that memo on ``id()`` is sound because such a block cannot change
+    and ``value`` keeps it alive until the call returns.
     """
     parts: list[str] = []
-    _emit(value, "\n", parts.append)
+    _emit(value, "\n", parts.append, {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _emit(value, newline: str, emit) -> None:
+_READ_ONLY_TYPES = frozenset({ReadOnlyDict, ReadOnlyList})
+
+
+def _emit(value, newline: str, emit, rendered: Optional[dict]) -> None:
+    """Append ``value``'s text to ``emit``; ``rendered`` memoises read-only
+    blocks by (id, indentation), and is None inside a block being memoised,
+    whose nested blocks are rendered into its text."""
     if isinstance(value, str):
         emit(_encode_str(value))
+    elif rendered is not None and type(value) in _READ_ONLY_TYPES:
+        key = (id(value), newline)
+        text = rendered.get(key)
+        if text is None:
+            parts: list[str] = []
+            _emit(value, newline, parts.append, None)
+            text = rendered[key] = "".join(parts)
+        emit(text)
     elif isinstance(value, dict):
         if not value:
             emit("{}")
@@ -516,7 +611,7 @@ def _emit(value, newline: str, emit) -> None:
             emit(separator)
             emit(_encode_str(key))
             emit(": ")
-            _emit(item, inner, emit)
+            _emit(item, inner, emit, rendered)
             separator = comma
         emit(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -528,7 +623,7 @@ def _emit(value, newline: str, emit) -> None:
         separator = "[" + inner
         for item in value:
             emit(separator)
-            _emit(item, inner, emit)
+            _emit(item, inner, emit, rendered)
             separator = comma
         emit(newline + "]")
     else:

@@ -53,6 +53,7 @@ _ETYPE_PRIORITY = {
     EntityType.DOSAGE: 3,
     EntityType.TEMPORAL: 4,
 }
+_ETYPE_BY_PRIORITY = tuple(sorted(_ETYPE_PRIORITY, key=_ETYPE_PRIORITY.__getitem__))
 
 DEFAULT_MAX_NGRAM = 6
 
@@ -202,25 +203,24 @@ def _containing_sentence(
 
 
 def _resolve_overlaps(
-    candidates: list[tuple[int, int, EntityType]]
-) -> list[tuple[int, int, EntityType]]:
+    candidates: list[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
     """Longest span wins; ties go to leftmost start, then etype priority.
 
+    Each candidate is ``(start, end, priority)``, with the ``_ETYPE_PRIORITY``
+    of its entity type, so that ordering them compares ints only.
     Candidates are non-empty spans, and two of them overlap exactly when
     they share a character. So a candidate is accepted when none of its
     characters is covered by an accepted span yet, which costs time in
     proportion to its length, not to the number of spans accepted.
     """
-    ordered = sorted(
-        set(candidates),
-        key=lambda c: (-(c[1] - c[0]), c[0], _ETYPE_PRIORITY[c[2]], c[1]),
-    )
+    ordered = sorted(set(candidates), key=lambda c: (c[0] - c[1], c[0], c[2], c[1]))
     covered = bytearray(max((end for _, end, _ in ordered), default=0))
-    accepted: list[tuple[int, int, EntityType]] = []
-    for start, end, etype in ordered:
+    accepted: list[tuple[int, int, int]] = []
+    for start, end, priority in ordered:
         if covered.find(1, start, end) < 0:
             covered[start:end] = b"\x01" * (end - start)
-            accepted.append((start, end, etype))
+            accepted.append((start, end, priority))
     accepted.sort(key=lambda c: c[0])
     return accepted
 
@@ -241,7 +241,7 @@ def extract_entities(
     text = note.text
     sentences = segment(text)
     sentence_starts = [sentence.start for sentence in sentences]
-    candidates: list[tuple[int, int, EntityType]] = []
+    candidates: list[tuple[int, int, int]] = []
 
     keys = index.match_keys()
     if keys:
@@ -249,23 +249,26 @@ def extract_entities(
         for start, end in dictionary_spans(text, spans, keys, max_ngram):
             entries = index.lookup(text[start:end])
             if entries:
-                candidates.append((start, end, entries[0].entity_type))
+                candidates.append(
+                    (start, end, _ETYPE_PRIORITY[entries[0].entity_type])
+                )
 
     for pattern in patterns.patterns:
+        priority = _ETYPE_PRIORITY[pattern.etype]
         for match in pattern.regex.finditer(text):
             if match.start() < match.end():
-                candidates.append((match.start(), match.end(), pattern.etype))
+                candidates.append((match.start(), match.end(), priority))
 
     # Sentence containment is decided before overlap resolution so that a
     # boundary-crossing candidate cannot knock out an in-sentence one.
-    contained: list[tuple[int, int, EntityType]] = []
+    contained: list[tuple[int, int, int]] = []
     sentence_of: dict[tuple[int, int], int] = {}
-    for start, end, etype in candidates:
+    for start, end, priority in candidates:
         sentence_index = _containing_sentence(
             sentences, sentence_starts, start, end
         )
         if sentence_index is not None:
-            contained.append((start, end, etype))
+            contained.append((start, end, priority))
             sentence_of[(start, end)] = sentence_index
 
     return [
@@ -275,8 +278,8 @@ def extract_entities(
             start=start,
             end=end,
             text=text[start:end],
-            etype=etype,
+            etype=_ETYPE_BY_PRIORITY[priority],
             sentence_index=sentence_of[(start, end)],
         )
-        for start, end, etype in _resolve_overlaps(contained)
+        for start, end, priority in _resolve_overlaps(contained)
     ]

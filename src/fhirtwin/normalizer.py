@@ -19,6 +19,7 @@ from fhirtwin.terminology import (
     CodeSystem,
     ConceptEntry,
     EntityType,
+    Resolution,
     TerminologyIndex,
 )
 
@@ -103,15 +104,14 @@ def split_observation_text(text: str) -> tuple[str, str]:
     return text[:value_start].rstrip(), text[value_start:]
 
 
-def _candidates(
-    key: str, etype: EntityType, index: TerminologyIndex
-) -> list[tuple[ConceptEntry, float]]:
+def _pick(resolution: Resolution, etype: EntityType) -> Optional[NormalizedConcept]:
+    """The best concept of ``etype`` among a resolution's entries, or None."""
     allowed = SYSTEMS_BY_TYPE[etype]
     scored: list[tuple[ConceptEntry, float]] = []
     seen: set[tuple[CodeSystem, str]] = set()
     for entries, score in (
-        (index.exact(key), EXACT_SCORE),
-        (index.via_synonym(key), SYNONYM_SCORE),
+        (resolution.exact, EXACT_SCORE),
+        (resolution.via_synonym, SYNONYM_SCORE),
     ):
         for entry in entries:
             if entry.entity_type != etype or entry.system not in allowed:
@@ -120,21 +120,32 @@ def _candidates(
                 continue
             seen.add((entry.system, entry.code))
             scored.append((entry, score))
-    return scored
+    if not scored:
+        return None
+    preference = {system: rank for rank, system in enumerate(allowed)}
+    entry, score = min(
+        scored, key=lambda pair: (-pair[1], preference[pair[0].system], pair[0].code)
+    )
+    return NormalizedConcept(entry.system, entry.code, entry.display, score)
 
 
 def normalize_key(
     key: str, etype: EntityType, index: TerminologyIndex
 ) -> Optional[NormalizedConcept]:
-    """Select the single best concept for a lookup key, or None."""
-    scored = _candidates(key, etype, index)
-    if not scored:
+    """Select the single best concept for a lookup key, or None.
+
+    The pick is kept on the index's resolution of ``key``, so every later
+    call with the same normalized key and type returns the same object.
+    """
+    resolution = index.resolve(key)
+    if resolution is None:
         return None
-    preference = {system: rank for rank, system in enumerate(SYSTEMS_BY_TYPE[etype])}
-    entry, score = min(
-        scored, key=lambda pair: (-pair[1], preference[pair[0].system], pair[0].code)
-    )
-    return NormalizedConcept(entry.system, entry.code, entry.display, score)
+    concepts = resolution.concepts
+    try:
+        return concepts[etype]
+    except KeyError:
+        concept = concepts[etype] = _pick(resolution, etype)
+        return concept
 
 
 def normalize(

@@ -11,7 +11,12 @@ blank lines are ignored. A second two-column file maps synonym aliases to
 canonical surface forms (``alias,canonical``); aliases must point directly
 at canonical forms, never at other aliases.
 
-Indexes are immutable once built and safe to share across threads.
+Indexes are immutable once built and safe to share across threads. Each
+keeps a memo of what a normalized surface resolves to, created empty on
+the first lookup, so a note that repeats a concept resolves it once. The
+memo keeps hits only: it never holds more than one ``Resolution`` per
+dictionary surface and synonym alias, however many unknown surfaces are
+looked up. Two threads filling it at once store equal values.
 """
 
 from __future__ import annotations
@@ -109,6 +114,22 @@ def _first_per_identity(entries: Iterable[ConceptEntry]) -> tuple[ConceptEntry, 
 
 
 @dataclass(frozen=True)
+class Resolution:
+    """What one normalized surface finds in an index.
+
+    ``exact`` holds the entries of the surface itself, ``via_synonym`` those
+    of the canonical form it is an alias of, and ``entries`` both in
+    ``lookup`` order. ``concepts`` is the normalizer's pick per entity type,
+    filled as each type is first asked for.
+    """
+
+    exact: tuple[ConceptEntry, ...]
+    via_synonym: tuple[ConceptEntry, ...]
+    entries: tuple[ConceptEntry, ...]
+    concepts: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class TerminologyIndex:
     """Immutable surface-form index over one or more loaded dictionaries.
 
@@ -119,28 +140,39 @@ class TerminologyIndex:
     entries: dict[str, tuple[ConceptEntry, ...]] = field(default_factory=dict)
     synonym_map: dict[str, str] = field(default_factory=dict)
 
-    def exact(self, surface: str) -> tuple[ConceptEntry, ...]:
-        """Entries whose surface form equals the normalized query."""
-        return self.entries.get(normalize_surface(surface), ())
+    def resolve(self, surface: str) -> Optional[Resolution]:
+        """What ``surface`` resolves to directly or through a synonym, or
+        None when it finds no entry. Hits are memoised per normalized
+        surface; misses are not kept."""
+        key = normalize_surface(surface)
+        hit = self._resolutions.get(key)
+        if hit is None:
+            exact = self.entries.get(key, ())
+            canonical = self.synonym_map.get(key)
+            via_synonym = () if canonical is None else self.entries.get(canonical, ())
+            if not (exact or via_synonym):
+                return None
+            entries = sorted(
+                _first_per_identity(exact + via_synonym), key=ConceptEntry.sort_key
+            )
+            hit = self._resolutions[key] = Resolution(
+                exact, via_synonym, tuple(entries)
+            )
+        return hit
 
-    def via_synonym(self, surface: str) -> tuple[ConceptEntry, ...]:
-        """Entries reached by resolving the query through the synonym map."""
-        canonical = self.synonym_map.get(normalize_surface(surface))
-        if canonical is None:
-            return ()
-        return self.entries.get(canonical, ())
+    @cached_property
+    def _resolutions(self) -> dict[str, Resolution]:
+        return {}
 
     def lookup(self, surface: str) -> list[ConceptEntry]:
         """All entries matching the query directly or through a synonym.
 
         Results are ordered by system precedence (SNOMED, ICD10, LOINC,
         RXNORM) and then by code, so repeated lookups are deterministic.
-        Unknown surfaces return an empty list.
+        Unknown surfaces return an empty list. Each call returns a new list.
         """
-        return sorted(
-            _first_per_identity(self.exact(surface) + self.via_synonym(surface)),
-            key=ConceptEntry.sort_key,
-        )
+        resolution = self.resolve(surface)
+        return [] if resolution is None else list(resolution.entries)
 
     def match_keys(self) -> frozenset[str]:
         """Every normalized surface that can produce a lookup hit.

@@ -8,9 +8,11 @@ the library reads them from its profile table. The extraction oracles are
 the straightforward quadratic scans that the library replaced with
 sorted-interval lookups: each candidate against every accepted span, each
 span against every sentence, each dosage or cue against every mention of
-its sentence. They share only definitions with the library (the metric
-definitions, the allowed code systems, the overlap tie-break priority, the
-relation types), never its code paths.
+its sentence. The lookup oracles resolve every query afresh from the
+index's two maps, where the library memoises each hit on the index. They
+share only definitions with the library (the metric definitions, the
+allowed code systems, the overlap tie-break priority, the relation types,
+the surface normalization), never its code paths.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fhirtwin.fhir_assembly import TwinBundle, resource_to_dict
 from fhirtwin.ner import _ETYPE_PRIORITY
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
-from fhirtwin.terminology import EntityType
+from fhirtwin.terminology import SYSTEM_PRECEDENCE, EntityType, normalize_surface
 
 REQUIRED = {
     "Condition": ("code", "clinicalStatus", "verificationStatus", "subject"),
@@ -363,3 +365,44 @@ def oracle_validate(
                     )
                 )
     return issues
+
+
+# ---------------------------------------------------------------------------
+# Terminology lookup and normalization, resolved afresh on every call
+# ---------------------------------------------------------------------------
+
+
+def _direct_and_synonym(index, surface):
+    key = normalize_surface(surface)
+    canonical = index.synonym_map.get(key)
+    synonym = index.entries.get(canonical, ()) if canonical is not None else ()
+    return index.entries.get(key, ()), synonym
+
+
+def oracle_lookup(index, surface):
+    """Entries of the surface and of its canonical form, one per identity."""
+    direct, synonym = _direct_and_synonym(index, surface)
+    unique = []
+    for entry in direct + synonym:
+        if not any(
+            (e.system, e.code, e.entity_type)
+            == (entry.system, entry.code, entry.entity_type)
+            for e in unique
+        ):
+            unique.append(entry)
+    return sorted(unique, key=lambda e: (SYSTEM_PRECEDENCE[e.system], e.code))
+
+
+def oracle_normalize_key(key, etype, index):
+    """(system, code, display, score) of the best concept, or None."""
+    direct, synonym = _direct_and_synonym(index, key)
+    allowed = SYSTEMS_BY_TYPE[etype]
+    best = None
+    for entries, score in ((direct, 1.0), (synonym, 0.9)):
+        for entry in entries:
+            if entry.entity_type != etype or entry.system not in allowed:
+                continue
+            rank = (-score, allowed.index(entry.system), entry.code)
+            if best is None or rank < best[0]:
+                best = (rank, (entry.system, entry.code, entry.display, score))
+    return None if best is None else best[1]

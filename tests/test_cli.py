@@ -378,6 +378,65 @@ def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "resource_type, field, value, reason",
+    [
+        ("Condition", "code", "x", "Condition {id}: code is not an object"),
+        ("Condition", "clinicalStatus", ["active"], "clinicalStatus is not an object"),
+        ("Condition", "code", {"coding": ["x"]}, "code is not an object"),
+        (
+            "MedicationRequest",
+            "medicationCodeableConcept",
+            7,
+            "medicationCodeableConcept is not an object",
+        ),
+        ("Observation", "subject", "Patient/p001", "subject is not an object"),
+        (
+            "MedicationRequest",
+            "dosageInstruction",
+            "10mg daily",
+            "dosageInstruction is not a list of objects",
+        ),
+        ("Observation", "resourceType", "Encounter", "not a profile resource type"),
+        ("Patient", "resourceType", "Person", "bundle has no Patient entry"),
+        (
+            "Patient",
+            "identifier",
+            [{"value": "p999"}],
+            "Patient 'p999' is not the manifest's 'p001'",
+        ),
+    ],
+    ids=[
+        "code_a_string",
+        "status_a_list",
+        "coding_of_strings",
+        "medication_code_a_number",
+        "subject_a_string",
+        "dosage_a_string",
+        "unknown_resource_type",
+        "no_patient",
+        "another_patient",
+    ],
+)
+def test_evaluate_rejects_reference_it_cannot_score(
+    corpus, tmp_path, caplog, resource_type, field, value, reason
+):
+    path = corpus / "references" / "twin_p001.json"
+    body = read_json(path)
+    resource = next(
+        entry["resource"]
+        for entry in body["entry"]
+        if entry["resource"]["resourceType"] == resource_type
+    )
+    resource[field] = value
+    path.write_text(json.dumps(body, indent=2), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert f"bad corpus file {path}: ValueError: " in caplog.text
+    assert reason.format(id=repr(resource["id"])) in caplog.text
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Idempotency
 # ---------------------------------------------------------------------------

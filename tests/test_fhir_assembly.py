@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from fhirtwin.fhir_assembly import (
     PLACEHOLDER_DOSAGE,
     EmptyPatientIdError,
     FhirResource,
+    ReadOnlyDict,
+    ReadOnlyList,
     Severity,
     assemble,
     build_patient,
@@ -18,6 +22,7 @@ from fhirtwin.fhir_assembly import (
     bundle_from_json,
     bundle_to_json,
     issues_to_json,
+    read_only,
     to_json,
     validate,
 )
@@ -344,6 +349,120 @@ json_values = st.recursive(
 @given(json_values)
 def test_to_json_matches_stdlib_indent_encoder(value):
     assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@st.composite
+def shared_blocks(draw):
+    """A value whose read-only blocks recur under several parents, at two
+    depths or more, and nest inside one another."""
+    blocks = draw(st.lists(json_values.map(read_only), min_size=1, max_size=3))
+    blocks.append(read_only({"inner": [blocks[0]], "again": blocks[0]}))
+    some = st.lists(st.sampled_from(blocks), min_size=1, max_size=4)
+    return {
+        "shallow": draw(some),
+        "deep": [{"blocks": draw(some)} for _ in range(draw(st.integers(1, 3)))],
+        "plain": draw(json_scalars),
+    }
+
+
+@settings(max_examples=150)
+@given(shared_blocks())
+def test_to_json_renders_shared_blocks_like_stdlib(value):
+    assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def _writes(block):
+    """Every way of changing a dict or a list in place."""
+    if isinstance(block, dict):
+        key = next(iter(block), "k")
+        return [
+            lambda: block.__setitem__("k", 1),
+            lambda: block.__delitem__(key),
+            lambda: block.update(k=1),
+            lambda: block.setdefault("k", 1),
+            lambda: block.pop(key),
+            lambda: block.popitem(),
+            lambda: block.clear(),
+            lambda: block.__ior__({"k": 1}),
+        ]
+    return [
+        lambda: block.__setitem__(0, 1),
+        lambda: block.__delitem__(0),
+        lambda: block.append(1),
+        lambda: block.extend([1]),
+        lambda: block.insert(0, 1),
+        lambda: block.pop(),
+        lambda: block.remove(block[0]),
+        lambda: block.clear(),
+        lambda: block.sort(),
+        lambda: block.reverse(),
+        lambda: block.__iadd__([1]),
+        lambda: block.__imul__(2),
+    ]
+
+
+def _containers(value):
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def test_shared_blocks_refuse_every_write(pipeline):
+    _, resources = build_resources(pipeline, TABLE3_TEXT + " Lisinopril 10mg daily.")
+    condition = pick(resources, "Condition")
+    first, second = [r for r in resources if r.resource_type == "MedicationRequest"]
+    assert first.fields["medicationCodeableConcept"] is second.fields[
+        "medicationCodeableConcept"
+    ]
+    assert len({id(r.fields["subject"]) for r in resources}) == 1
+    shared = [
+        condition.fields[name]
+        for name in ("code", "clinicalStatus", "verificationStatus", "subject")
+    ] + [first.fields["medicationCodeableConcept"]]
+    for block in shared:
+        plain = json.loads(json.dumps(block))
+        for container in _containers(block):
+            assert type(container) in (ReadOnlyDict, ReadOnlyList)
+            for write in _writes(container):
+                with pytest.raises(TypeError):
+                    write()
+        assert block == plain
+        assert json.loads(json.dumps(block)) == plain
+
+
+def test_one_concept_under_several_surfaces_keeps_each_text(pipeline):
+    _, resources = build_resources(
+        pipeline,
+        "Hypertension. History of hypertension. GERD, not gastroesophageal reflux disease.",
+    )
+    codes = [r.fields["code"] for r in resources]
+    assert [c["text"] for c in codes] == [
+        "Hypertension",
+        "hypertension",
+        "GERD",
+        "gastroesophageal reflux disease",
+    ]
+    assert codes[0]["coding"] == codes[1]["coding"]
+    assert codes[2]["coding"] == codes[3]["coding"]
+
+
+def test_copies_of_shared_blocks_are_mutable(pipeline):
+    _, resources = build_resources(pipeline, TABLE3_TEXT)
+    condition = pick(resources, "Condition")
+    before = json.loads(json.dumps(condition.fields))
+
+    fields = dict(condition.fields)
+    fields["clinicalStatus"] = {"coding": []}
+    deep = json.loads(json.dumps(condition.fields))
+    deep["code"]["coding"][0]["system"] = "http://example.org/other"
+    code = dict(condition.fields["code"])
+    code["text"] = "changed"
+
+    assert json.loads(json.dumps(condition.fields)) == before
+    for block in (condition.fields["code"], condition.fields["subject"]):
+        for clone in (copy.deepcopy(block), pickle.loads(pickle.dumps(block))):
+            assert clone == block and type(clone) is type(block)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None])

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.ner import (
+    _ETYPE_BY_PRIORITY,
+    _ETYPE_PRIORITY,
     ClinicalNote,
     _containing_sentence,
     _resolve_overlaps,
@@ -253,7 +255,12 @@ candidate_strategy = st.builds(
 @settings(max_examples=300)
 @given(st.lists(candidate_strategy, min_size=1, max_size=30))
 def test_resolve_overlaps_matches_quadratic_reference(candidates):
-    assert _resolve_overlaps(candidates) == oracle_resolve_overlaps(candidates)
+    ranked = [(start, end, _ETYPE_PRIORITY[etype]) for start, end, etype in candidates]
+    resolved = [
+        (start, end, _ETYPE_BY_PRIORITY[priority])
+        for start, end, priority in _resolve_overlaps(ranked)
+    ]
+    assert resolved == oracle_resolve_overlaps(candidates)
 
 
 @settings(max_examples=200)

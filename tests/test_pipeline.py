@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from fhirtwin.fhir_assembly import bundle_to_json
 from fhirtwin.ner import ClinicalNote
 from fhirtwin.pipeline import (
     TIMESTAMP_ENV_VAR,
@@ -11,6 +12,7 @@ from fhirtwin.pipeline import (
     build_config,
     load_config_file,
 )
+from fhirtwin.synthesizer import load_records, load_templates, synthesize
 
 from conftest import TABLE3_TEXT
 
@@ -114,3 +116,22 @@ def test_missing_input_file_fails_at_startup(config):
     broken = dataclasses.replace(config, patterns=config.patterns.parent / "nope.tsv")
     with pytest.raises(FileNotFoundError):
         Pipeline(broken)
+
+
+def test_warm_pipeline_twins_like_a_cold_one(config, tables_dir):
+    """The index memo and the shared blocks never leak from one note into
+    another: every note's bundle after twinning the whole corpus equals the
+    bundle of a pipeline that has seen nothing else."""
+    warm = Pipeline(config)
+    templates = load_templates(config.templates)
+    notes = [
+        synthesize(record, templates, warm.index, config.default_timestamp).note
+        for record in load_records(tables_dir)
+    ]
+    for note in notes:
+        warm.twin(note.patient_id, [note])
+    assert warm.index._resolutions
+    for note in notes:
+        cold, _, _ = Pipeline(config).twin(note.patient_id, [note])
+        again, _, _ = warm.twin(note.patient_id, [note])
+        assert bundle_to_json(again) == bundle_to_json(cold), note.note_id

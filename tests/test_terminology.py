@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhirtwin.normalizer import normalize_key
+from fhirtwin.pipeline import Pipeline
 from fhirtwin.terminology import (
+    CODEABLE_TYPES,
     CodeSystem,
     EntityType,
     MalformedRowError,
@@ -17,6 +20,7 @@ from fhirtwin.terminology import (
 )
 
 from conftest import write_dictionary
+from oracles import oracle_lookup, oracle_normalize_key
 
 
 def test_load_dictionary_maps_hypertension_row(tmp_path):
@@ -167,3 +171,61 @@ def test_all_synonyms_resolve_like_their_canonicals(index):
 
 def test_normalize_surface_collapses_whitespace():
     assert normalize_surface("  Type   2\tDiabetes ") == "type 2 diabetes"
+
+
+# ---------------------------------------------------------------------------
+# Resolution memo
+# ---------------------------------------------------------------------------
+
+_NON_KEYS = ["frobnosticosis", "", "   ", "bp 145/92", "type 2", "hypertension x"]
+
+
+def _variants(index):
+    """Case and whitespace variants of the index's keys, aliases and non-keys."""
+    surfaces = sorted(index.entries) + sorted(index.synonym_map) + _NON_KEYS
+    return st.builds(
+        lambda surface, case, gap, lead, trail: lead
+        + gap.join(case(surface).split())
+        + trail,
+        st.sampled_from(surfaces),
+        st.sampled_from([str, str.upper, str.title, str.swapcase, str.casefold]),
+        st.sampled_from([" ", "  ", "\t", " \n ", "\u00a0"]),
+        st.sampled_from(["", " ", "\t "]),
+        st.sampled_from(["", " ", " \n"]),
+    )
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_memoised_lookups_match_uncached_oracle(index, data):
+    surface = data.draw(_variants(index))
+    for _ in range(2):  # the second round reads the memo filled by the first
+        assert index.lookup(surface) == oracle_lookup(index, surface)
+        for etype in sorted(CODEABLE_TYPES, key=lambda t: t.value):
+            concept = normalize_key(surface, etype, index)
+            expected = oracle_normalize_key(surface, etype, index)
+            assert (
+                None
+                if concept is None
+                else (concept.system, concept.code, concept.display, concept.score)
+            ) == expected
+
+
+def test_lookup_returns_a_new_list_each_call(index):
+    first = index.lookup("hypertension")
+    first.clear()
+    assert index.lookup("hypertension")
+
+
+def test_memo_is_bounded_by_keys_and_aliases(config):
+    index = Pipeline(config).index
+    assert index.resolve("hypertension") is not None
+    for n in range(2000):
+        unknown = f"unknown surface {n}"
+        assert index.lookup(unknown) == []
+        assert normalize_key(unknown, EntityType.CONDITION, index) is None
+    assert len(index._resolutions) == 1
+    for surface in [*index.entries, *index.synonym_map]:
+        for etype in CODEABLE_TYPES:
+            normalize_key(surface.upper(), etype, index)
+    assert len(index._resolutions) <= len(index.entries) + len(index.synonym_map)
