@@ -4,6 +4,9 @@ Machine-readable outputs go only to files under the output directory;
 progress and per-note counters are logged to standard error. Every
 command is idempotent over its output directory: re-running with the
 same inputs, config and seed rewrites identical bytes.
+
+Exit codes: 0 ok, 1 bad setup, 2 bad split ratios or corpus, 3 a partial
+``extract``/``twin`` run. Input JSON is read through ``_read_json`` only.
 """
 
 from __future__ import annotations
@@ -18,25 +21,31 @@ from typing import Iterator, Optional
 
 from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import (
+    CODED_FIELDS,
     CorpusCase,
     EmptyCorpusError,
-    check_reference,
     evaluate_corpus,
     gold_from_dict,
     gold_to_dict,
 )
 from fhirtwin.ner import ClinicalNote
 from fhirtwin.pipeline import NoteAnnotation, Pipeline, PipelineConfig, build_config
+from fhirtwin.relations import RelationType
 from fhirtwin.synthesizer import (
     BadRatiosError,
+    TemplateSet,
     UnresolvableRecordError,
     load_records,
     load_templates,
     split_corpus,
     synthesize,
 )
+from fhirtwin.terminology import CodeSystem, EntityType, TerminologyError
 
 logger = logging.getLogger("fhirtwin")
+
+#: What every command reads first, in this order; see ``main``.
+Setup = tuple[PipelineConfig, Pipeline, TemplateSet]
 
 
 def _write_json(path: Path, body) -> None:
@@ -53,130 +62,169 @@ def _read_note_text(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Input shapes
+# ---------------------------------------------------------------------------
+#
+# A shape is a type (``str``, or ``int``, which excludes ``bool``), ``None``,
+# a tuple of alternatives, ``[shape]`` for a list of that shape, ``[int,
+# int]`` for a span, a frozenset of the strings allowed, or a dict of
+# fields. A dict shape allows keys it does not name, and a field whose
+# alternatives include ``ABSENT`` may be left out.
+
+ABSENT = object()
+_TEXT = (str, ABSENT)
+_SPAN = [int, int]
+_ENTRY = {"note_id": str, "patient_id": _TEXT, "timestamp": (str, None, ABSENT)}
+#: A ``manifest.json`` beside or above a notes directory.
+MANIFEST = {"notes": ([_ENTRY], ABSENT)}
+#: A corpus manifest, which names each note's patient.
+_CORPUS_MANIFEST = {"notes": ([{**_ENTRY, "patient_id": str}], ABSENT)}
+#: A ``.json`` note; its ids fall back to the file stem.
+NOTE_FILE = {**_ENTRY, "note_id": _TEXT, "text": str}
+_MENTION = {
+    "start": int,
+    "end": int,
+    "etype": frozenset(t.value for t in EntityType),
+    "system": (frozenset(CodeSystem.__members__), None, ABSENT),
+    "code": (str, None, ABSENT),
+}
+_RTYPES = frozenset(t.value for t in RelationType)
+_RELATION = {"rtype": _RTYPES, "head": _SPAN, "tail": _SPAN}
+#: A corpus gold file, as ``gold_to_dict`` writes it.
+GOLD = {
+    "note_id": str,
+    "mentions": ([_MENTION], ABSENT),
+    "relations": ([_RELATION], ABSENT),
+}
+_CONCEPT = ({"coding": ([{"system": str, "code": str}], ABSENT), "text": _TEXT}, ABSENT)
+_RESOURCE = {
+    "resourceType": frozenset({*fhir_assembly.PROFILE, "Patient"}),
+    "id": _TEXT,
+    "identifier": ([{"value": _TEXT}], ABSENT),
+    "subject": ({"reference": _TEXT}, ABSENT),
+    "dosageInstruction": ([{"text": _TEXT}], ABSENT),
+    **dict.fromkeys(("valueString", "effectiveDateTime", "authoredOn"), _TEXT),
+    **dict.fromkeys(sorted(CODED_FIELDS), _CONCEPT),
+}
+#: A corpus reference bundle, down to every field the evaluator reads.
+REFERENCE = {
+    "resourceType": frozenset({"Bundle"}),
+    "entry": ([{"resource": _RESOURCE}], ABSENT),
+}
+_KINDS = {str: "a string", int: "an integer", None: "null"}
+
+
+def check(value, shape, where: str = "") -> None:
+    """Raise ``ValueError`` naming the first place in ``value``, such as
+    ``relations[0].head``, that does not have ``shape``."""
+    alternatives = shape if isinstance(shape, tuple) else (shape,)
+    for shape in alternatives:
+        if isinstance(shape, dict) and isinstance(value, dict):
+            for key, field in shape.items():
+                check(value.get(key, ABSENT), field, f"{where}.{key}" if where else key)
+            return
+        is_list = isinstance(shape, list) and isinstance(value, list)
+        if is_list and len(shape) in (1, len(value)):
+            for index, item in enumerate(value):
+                check(item, shape[index % len(shape)], f"{where}[{index}]")
+            return
+        if isinstance(shape, frozenset) and isinstance(value, str) and value in shape:
+            return
+        if value is shape or type(value) is shape:
+            return
+    expected = " or ".join(_describe(s) for s in alternatives if s is not ABSENT)
+    reason = "missing" if value is ABSENT else f"not {expected}"
+    raise ValueError(f"{where}: {reason}" if where else reason)
+
+
+def _describe(shape) -> str:
+    if isinstance(shape, frozenset):
+        return "one of " + ", ".join(sorted(shape))
+    if isinstance(shape, list):
+        return "a list" if len(shape) == 1 else f"a list of {len(shape)}"
+    return "a JSON object" if isinstance(shape, dict) else _KINDS[shape]
+
+
+def _read_json(path: Path, shape):
+    """Parse ``path`` and ``check`` it; raises ``OSError`` or ``ValueError``."""
+    body = json.loads(path.read_text(encoding="utf-8"))
+    check(body, shape)
+    return body
+
+
+# ---------------------------------------------------------------------------
 # Note discovery
 # ---------------------------------------------------------------------------
 
 
-def _check_strings(fields: dict) -> None:
-    """Raise ``ValueError`` naming each field whose value is not a string;
-    a ``timestamp`` may also be ``None``."""
-    not_strings = [
-        key
-        for key, value in fields.items()
-        if not isinstance(value, str) and not (key == "timestamp" and value is None)
-    ]
-    if not_strings:
-        raise ValueError(f"{', '.join(not_strings)} not a string")
-
-
-def _manifest_entries(manifest) -> list[dict]:
-    """The note entries of a parsed corpus manifest.
-
-    Raises ``ValueError`` unless they are objects with a string ``note_id``
-    and, where present, a string ``patient_id`` and ``timestamp``.
-    """
-    entries = manifest.get("notes", []) if isinstance(manifest, dict) else None
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("not a JSON object with a list of objects as notes")
-    for entry in entries:
-        optional = {k: entry[k] for k in ("patient_id", "timestamp") if k in entry}
-        _check_strings({"note_id": entry.get("note_id"), **optional})
-    return entries
-
-
-def _load_manifest(directory: Path) -> tuple[dict[str, dict], Path]:
-    """Find a corpus manifest beside or above a notes directory.
-
-    Returns its entries by note id and the directory that holds the notes.
-    A manifest that cannot be read or that ``_manifest_entries`` rejects is
-    skipped with a warning, and the notes are read without its metadata.
-    """
-    for root in (directory, directory.parent):
-        manifest_path = root / "manifest.json"
-        if manifest_path.exists():
-            notes_dir = root / "notes"
-            try:
-                text = manifest_path.read_text(encoding="utf-8")
-                entries = _manifest_entries(json.loads(text))
-            except (OSError, ValueError) as exc:
-                logger.warning("skipping %s: %s", manifest_path, exc)
-                entries = []
-            meta = {entry["note_id"]: entry for entry in entries}
-            return meta, notes_dir if notes_dir.is_dir() else directory
-    return {}, directory
+def _load_manifest(path: Path) -> dict[str, dict]:
+    """The entries of a notes directory's manifest by note id."""
+    entries = _read_json(path, MANIFEST).get("notes", [])
+    return {entry["note_id"]: entry for entry in entries}
 
 
 def _read_note(path: Path, meta: dict[str, dict]) -> ClinicalNote:
-    """Read one ``.txt`` or ``.json`` note file.
+    """Read one ``.txt`` note, with its manifest entry, or ``.json`` note.
 
     Raises ``OSError`` when the file cannot be read, and ``ValueError``
-    saying why it holds no usable note; a file that is not UTF-8 or not
-    valid JSON raises a subclass of it.
+    saying why it holds no usable note.
     """
     if path.suffix == ".txt":
-        entry = meta.get(path.stem, {})
-        return ClinicalNote(
-            note_id=path.stem,
-            patient_id=entry.get("patient_id", path.stem),
-            timestamp=entry.get("timestamp"),
-            text=_read_note_text(path),
-        )
-    body = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(body, dict):
-        raise ValueError("not a JSON object")
-    if "text" not in body:
-        raise ValueError("no text field")
-    fields = {
-        "note_id": body.get("note_id", path.stem),
-        "patient_id": body.get("patient_id", path.stem),
-        "timestamp": body.get("timestamp"),
-        "text": body["text"],
-    }
-    _check_strings(fields)
-    return ClinicalNote(**fields)
+        fields = {**meta.get(path.stem, {}), "text": _read_note_text(path)}
+    else:
+        fields = _read_json(path, NOTE_FILE)
+    return ClinicalNote(
+        note_id=fields.get("note_id", path.stem),
+        patient_id=fields.get("patient_id", path.stem),
+        timestamp=fields.get("timestamp"),
+        text=fields["text"],
+    )
 
 
-def load_notes(directory: str | Path) -> list[ClinicalNote]:
+def load_notes(directory: str | Path) -> tuple[list[ClinicalNote], list[str]]:
     """Read notes from a directory of ``.txt``/``.json`` files.
 
-    When a corpus manifest is present its per-note patient ids and
-    timestamps are used; bare text files fall back to the file stem for
-    both ids and carry no timestamp. A malformed manifest is skipped with a
-    warning. A file that cannot be read, is not UTF-8, or is a ``.json``
-    note that is not a JSON object with a string ``text`` field, string,
-    non-empty ``note_id`` and ``patient_id`` and a string or null
-    ``timestamp``, is skipped with a warning, and so is every note after
-    the first with the same note id.
+    Returns the notes, sorted by id, and a warning for each input skipped:
+    a manifest or note file that cannot be read or is not of its shape, or
+    a note whose id an earlier file had (``.txt`` files come first, then
+    ``.json``, each by name). A manifest beside or above the directory
+    gives the ``.txt`` notes their patient ids and timestamps; otherwise
+    both ids are the file stem and there is no timestamp.
     """
     directory = Path(directory)
-    meta, notes_dir = _load_manifest(directory)
+    skipped: list[str] = []
+
+    def skip(path: Path, reason) -> None:
+        skipped.append(f"skipping {path}: {reason}")
+        logger.warning("%s", skipped[-1])
+
+    meta: dict[str, dict] = {}
+    notes_dir = directory
+    for root in (directory, directory.parent):
+        manifest_path = root / "manifest.json"
+        if manifest_path.exists():
+            if (root / "notes").is_dir():
+                notes_dir = root / "notes"
+            try:
+                meta = _load_manifest(manifest_path)
+            except (OSError, ValueError) as exc:
+                skip(manifest_path, exc)
+            break
 
     paths = sorted(notes_dir.glob("*.txt")) + sorted(
         path for path in notes_dir.glob("*.json") if path.name != "manifest.json"
     )
-    loaded: list[tuple[ClinicalNote, Path]] = []
+    loaded: dict[str, tuple[ClinicalNote, Path]] = {}
     for path in paths:
         try:
-            loaded.append((_read_note(path, meta), path))
+            note = _read_note(path, meta)
         except (OSError, ValueError) as exc:
-            logger.warning("skipping %s: %s", path, exc)
-    # The sort is stable, so of notes sharing an id the ``.txt`` file wins,
-    # then the first ``.json`` file by name.
-    loaded.sort(key=lambda pair: pair[0].note_id)
-    first_path: dict[str, Path] = {}
-    notes: list[ClinicalNote] = []
-    for note, path in loaded:
-        if note.note_id in first_path:
-            logger.warning(
-                "skipping %s: note id %s already read from %s",
-                path,
-                note.note_id,
-                first_path[note.note_id],
-            )
+            skip(path, exc)
             continue
-        first_path[note.note_id] = path
-        notes.append(note)
-    return notes
+        first = loaded.setdefault(note.note_id, (note, path))[1]
+        if first != path:
+            skip(path, f"note id {note.note_id} already read from {first}")
+    return [loaded[note_id][0] for note_id in sorted(loaded)], skipped
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +276,14 @@ def annotation_to_dict(annotation: NoteAnnotation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
+    config, pipeline, templates = setup
     try:
         records = load_records(args.tables)
     except (FileNotFoundError, ValueError) as exc:
         logger.error("cannot load tables: %s", exc)
         return 1
 
-    pipeline = Pipeline(config)
-    templates = load_templates(config.templates)
     cases = []
     for record in records:
         try:
@@ -263,9 +309,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             split_of[case.note.note_id] = name
 
     out = config.out_dir
-    (out / "notes").mkdir(parents=True, exist_ok=True)
-    (out / "gold").mkdir(parents=True, exist_ok=True)
-    (out / "references").mkdir(parents=True, exist_ok=True)
+    for name in ("notes", "gold", "references"):
+        (out / name).mkdir(parents=True, exist_ok=True)
     manifest_notes = []
     for case in sorted(cases, key=lambda c: c.note.note_id):
         note = case.note
@@ -308,17 +353,18 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    pipeline = Pipeline(config)
-    notes = load_notes(args.notes)
+def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
+    config, pipeline, _ = setup
+    notes, skipped = load_notes(args.notes)
     out = config.out_dir
     (out / "annotations").mkdir(parents=True, exist_ok=True)
+    failed = 0
     for note in notes:
         try:
             annotation = pipeline.annotate(note)
         except Exception as exc:  # per-note failures never abort the run
             logger.error("note=%s stage=extract failed: %s", note.note_id, exc)
+            failed += 1
             continue
         _write_json(
             out / "annotations" / f"{note.note_id}.json",
@@ -330,23 +376,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
             len(annotation.annotated),
             len(annotation.relations),
         )
-    return 0
+    return 3 if skipped or failed else 0
 
 
-def cmd_twin(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    pipeline = Pipeline(config)
-    notes = load_notes(args.notes)
+def cmd_twin(args: argparse.Namespace, setup: Setup) -> int:
+    config, pipeline, _ = setup
+    notes, skipped = load_notes(args.notes)
     out = config.out_dir
     (out / "bundles").mkdir(parents=True, exist_ok=True)
     by_patient: dict[str, list[ClinicalNote]] = {}
     for note in notes:
         by_patient.setdefault(note.patient_id, []).append(note)
+    failed = 0
     for patient_id in sorted(by_patient):
         try:
             twin, issues, _ = pipeline.twin(patient_id, by_patient[patient_id])
         except Exception as exc:
             logger.error("patient=%s stage=twin failed: %s", patient_id, exc)
+            failed += 1
             continue
         _write_text(
             out / "bundles" / f"twin_{patient_id}.json",
@@ -364,7 +411,7 @@ def cmd_twin(args: argparse.Namespace) -> int:
             errors,
             len(issues) - errors,
         )
-    return 0
+    return 3 if skipped or failed else 0
 
 
 class CorpusFileError(Exception):
@@ -373,57 +420,61 @@ class CorpusFileError(Exception):
 
 @contextmanager
 def _corpus_file(path: Path) -> Iterator[None]:
-    """Turn a failure to read or parse ``path`` into a CorpusFileError."""
+    """Turn a failure to read or check ``path`` into a CorpusFileError."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CorpusFileError(
             f"bad corpus file {path}: {type(exc).__name__}: {exc}"
         ) from exc
+
+
+def _same(name: str, found: str, expected: str) -> None:
+    if found != expected:
+        raise ValueError(f"{name} {found!r} is not the manifest's {expected!r}")
 
 
 def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
     """Load a synthesized corpus (manifest, notes, gold, references).
 
     Raises EmptyCorpusError when there is no manifest or it lists no notes,
-    and CorpusFileError naming the first file that is missing or malformed,
-    including a reference whose fields ``check_reference`` rejects.
+    and CorpusFileError naming the first file that is missing, is not of
+    its shape, or whose gold ``note_id`` or reference Patient identifier is
+    not the manifest's.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
         raise EmptyCorpusError(f"no manifest.json under {corpus_dir}")
     with _corpus_file(manifest_path):
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        entries = [
-            (entry["note_id"], entry["patient_id"], entry.get("timestamp"))
-            for entry in _manifest_entries(manifest)
-        ]
+        entries = _read_json(manifest_path, _CORPUS_MANIFEST).get("notes", [])
     cases: list[CorpusCase] = []
-    for note_id, patient_id, timestamp in entries:
+    for entry in entries:
+        note_id, patient_id = entry["note_id"], entry["patient_id"]
         note_path = corpus_dir / "notes" / f"{note_id}.txt"
         with _corpus_file(note_path):
-            note = ClinicalNote(note_id, patient_id, timestamp, _read_note_text(note_path))
+            note = ClinicalNote(
+                note_id, patient_id, entry.get("timestamp"), _read_note_text(note_path)
+            )
         gold_path = corpus_dir / "gold" / f"{note_id}.json"
         with _corpus_file(gold_path):
-            gold = gold_from_dict(json.loads(gold_path.read_text(encoding="utf-8")))
-        reference_path = corpus_dir / "references" / f"twin_{patient_id}.json"
-        with _corpus_file(reference_path):
-            reference = fhir_assembly.bundle_from_json(
-                reference_path.read_text(encoding="utf-8")
-            )
-            check_reference(reference, patient_id)
+            gold = gold_from_dict(_read_json(gold_path, GOLD))
+            _same("note_id", gold.note_id, note_id)
+        ref_path = corpus_dir / "references" / f"twin_{patient_id}.json"
+        with _corpus_file(ref_path):
+            reference = fhir_assembly.bundle_from_dict(_read_json(ref_path, REFERENCE))
+            _same("Patient", reference.patient_identifier(), patient_id)
         cases.append(CorpusCase(note=note, gold=gold, reference=reference))
     if not cases:
         raise EmptyCorpusError(f"manifest under {corpus_dir} lists no notes")
     return cases
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_evaluate(args: argparse.Namespace, setup: Setup) -> int:
+    config, pipeline, _ = setup
     try:
         cases = load_corpus(args.corpus)
-        report = evaluate_corpus(cases, config)
+        report = evaluate_corpus(cases, pipeline)
     except (EmptyCorpusError, CorpusFileError) as exc:
         logger.error("%s", exc)
         return 2
@@ -515,7 +566,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
         )
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The setup every command shares; each of its loaders names the file
+    # in the errors it raises.
+    try:
+        config = _config_from_args(args)
+        setup = (config, Pipeline(config), load_templates(config.templates))
+    except (OSError, ValueError, TerminologyError) as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        print(f"error: {reason}", file=sys.stderr)
+        return 1
+    return args.func(args, setup)
 
 
 def console_entry() -> None:

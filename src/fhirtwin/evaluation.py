@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from fhirtwin.fhir_assembly import PROFILE, FhirResource, TwinBundle
 from fhirtwin.ner import ClinicalNote, EntityMention
-from fhirtwin.pipeline import NoteAnnotation, Pipeline, PipelineConfig
+from fhirtwin.pipeline import NoteAnnotation, Pipeline
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.terminology import CodeSystem, EntityType
 
@@ -181,7 +181,8 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     for resource_type, profile in PROFILE.items()
 }
 
-_CODED_FIELDS = frozenset(
+#: Fields that hold a CodeableConcept, compared by their set of codings.
+CODED_FIELDS = frozenset(
     {"code", "medicationCodeableConcept", "clinicalStatus", "verificationStatus"}
 )
 
@@ -191,7 +192,7 @@ def _field_fingerprint(resource: FhirResource, field_name: str):
     value = resource.fields.get(field_name)
     if value is None:
         return None
-    if field_name in _CODED_FIELDS:
+    if field_name in CODED_FIELDS:
         coding = value.get("coding") or []
         if not coding:
             return ("text", value.get("text", ""))
@@ -201,39 +202,6 @@ def _field_fingerprint(resource: FhirResource, field_name: str):
     if field_name == "subject":
         return value.get("reference", "")
     return value
-
-
-def _list_of_objects(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
-
-
-def check_reference(reference: TwinBundle, patient_id: str) -> None:
-    """Raise ``ValueError`` unless the scores can read ``reference`` as the
-    reference of ``patient_id``.
-
-    Its Patient must carry that identifier. Besides the Patient it may hold
-    only ``PROFILE`` resource types. Their coded, status and ``subject``
-    fields, when present, must be objects with a list of objects, if any,
-    as ``coding``, and a ``dosageInstruction`` must be a list of objects.
-    """
-    identifier = reference.patient_identifier()
-    if identifier != patient_id:
-        raise ValueError(f"Patient {identifier!r} is not the manifest's {patient_id!r}")
-    for resource in reference.entries:
-        where = f"{resource.resource_type} {resource.id!r}"
-        if resource.resource_type not in REQUIRED_FIELDS:
-            if resource.resource_type == "Patient":
-                continue
-            raise ValueError(f"{where}: not a profile resource type")
-        for name in (*sorted(_CODED_FIELDS), "subject"):
-            value = resource.fields.get(name)
-            if value is not None and not (
-                isinstance(value, dict) and _list_of_objects(value.get("coding") or [])
-            ):
-                raise ValueError(f"{where}: {name} is not an object with a list of codings")
-        dosage = resource.fields.get("dosageInstruction")
-        if dosage is not None and not _list_of_objects(dosage):
-            raise ValueError(f"{where}: dosageInstruction is not a list of objects")
 
 
 def _match_key(resource: FhirResource) -> tuple:
@@ -378,18 +346,16 @@ class EvaluationReport:
         )
 
 
-def evaluate_corpus(
-    cases: Sequence[CorpusCase], config: PipelineConfig
-) -> EvaluationReport:
-    """Run the configured pipeline over a corpus and score all four metrics.
+def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> EvaluationReport:
+    """Run ``pipeline`` over a corpus and score all four metrics.
 
-    Relation scores are reported as absent when relation extraction is
-    disabled (directly or through naive mapping). Completeness and
+    Relation scores are reported as absent when its config disables relation
+    extraction (directly or through naive mapping). Completeness and
     interoperability are macro-averaged per patient.
     """
     if not cases:
         raise EmptyCorpusError("corpus has no cases")
-    pipeline = Pipeline(config)
+    config = pipeline.config
 
     predicted_mentions: list[tuple] = []
     gold_mentions: list[tuple] = []

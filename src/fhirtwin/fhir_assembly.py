@@ -264,8 +264,8 @@ class SharedBlocks:
 
     ``subject`` references the patient; ``concept`` builds the coded block
     and the identity key of a (concept, text) pair on first use and then
-    returns the same pair. ``assemble`` makes one per call; a builder given
-    none makes its own.
+    returns the same pair. ``assemble`` makes one per call and the
+    synthesizer one per record.
     """
 
     def __init__(self, patient: FhirResource):
@@ -287,13 +287,11 @@ class SharedBlocks:
 
 def condition_resource(
     patient_id: str,
-    patient: FhirResource,
     concept: Optional[NormalizedConcept],
     text: str,
     span_start: object,
-    blocks: Optional[SharedBlocks] = None,
+    blocks: SharedBlocks,
 ) -> FhirResource:
-    blocks = blocks or SharedBlocks(patient)
     code, code_key = blocks.concept(concept, text)
     return FhirResource(
         resource_type="Condition",
@@ -309,15 +307,13 @@ def condition_resource(
 
 def observation_resource(
     patient_id: str,
-    patient: FhirResource,
     concept: Optional[NormalizedConcept],
     name_text: str,
     value: str,
     effective: str,
     span_start: object,
-    blocks: Optional[SharedBlocks] = None,
+    blocks: SharedBlocks,
 ) -> FhirResource:
-    blocks = blocks or SharedBlocks(patient)
     code, code_key = blocks.concept(concept, name_text)
     fields: dict = {"code": code}
     if value:
@@ -333,15 +329,13 @@ def observation_resource(
 
 def medication_request_resource(
     patient_id: str,
-    patient: FhirResource,
     concept: Optional[NormalizedConcept],
     text: str,
     dosage_texts: Sequence[str],
     authored_on: str,
     span_start: object,
-    blocks: Optional[SharedBlocks] = None,
+    blocks: SharedBlocks,
 ) -> FhirResource:
-    blocks = blocks or SharedBlocks(patient)
     code, code_key = blocks.concept(concept, text)
     return FhirResource(
         resource_type="MedicationRequest",
@@ -388,29 +382,16 @@ def assemble(
             continue
         if concept is None and not naive_mapping:
             continue
+        patient_id, start = note.patient_id, mention.start
         if mention.etype == EntityType.CONDITION:
             resources.append(
-                condition_resource(
-                    note.patient_id,
-                    patient,
-                    concept,
-                    mention.text,
-                    mention.start,
-                    blocks,
-                )
+                condition_resource(patient_id, concept, mention.text, start, blocks)
             )
         elif mention.etype == EntityType.OBSERVATION:
             name, value = split_observation_text(mention.text)
             resources.append(
                 observation_resource(
-                    note.patient_id,
-                    patient,
-                    concept,
-                    name,
-                    value,
-                    timestamp,
-                    mention.start,
-                    blocks,
+                    patient_id, concept, name, value, timestamp, start, blocks
                 )
             )
         elif mention.etype == EntityType.MEDICATION:
@@ -418,13 +399,12 @@ def assemble(
             dosage_texts = [text for _, text in attached] or [placeholder_dosage]
             resources.append(
                 medication_request_resource(
-                    note.patient_id,
-                    patient,
+                    patient_id,
                     concept,
                     mention.text,
                     dosage_texts,
                     timestamp,
-                    mention.start,
+                    start,
                     blocks,
                 )
             )

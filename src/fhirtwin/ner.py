@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from fhirtwin._match.pymatch import dictionary_spans, token_spans
-from fhirtwin.terminology import EntityType, TerminologyIndex
+from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
 
 #: Tokens that keep a following period from ending a sentence.
 ABBREVIATIONS = frozenset(
@@ -108,24 +108,22 @@ class PatternSet:
 
 def load_patterns(path: str | Path) -> PatternSet:
     """Load a tab-separated pattern file: NAME<TAB>ETYPE<TAB>REGEX per line."""
-    path = Path(path)
     patterns: list[Pattern] = []
-    with path.open(encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-            name, raw_type, regex = parts
-            try:
-                etype = EntityType[raw_type.strip().upper()]
-            except KeyError:
-                raise ValueError(
-                    f"{path}:{line_no}: unknown entity type {raw_type!r}"
-                ) from None
-            patterns.append(Pattern(name.strip(), etype, re.compile(regex, re.IGNORECASE)))
+    for line_no, line in data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
+        name, raw_type, regex = parts
+        try:
+            etype = EntityType[raw_type.strip().upper()]
+            compiled = re.compile(regex, re.IGNORECASE)
+        except KeyError:
+            raise ValueError(
+                f"{path}:{line_no}: unknown entity type {raw_type!r}"
+            ) from None
+        except re.error as exc:
+            raise ValueError(f"{path}:{line_no}: bad regex: {exc}") from None
+        patterns.append(Pattern(name.strip(), etype, compiled))
     return PatternSet(tuple(patterns))
 
 

@@ -25,7 +25,7 @@ from fhirtwin.fhir_assembly import (
 from fhirtwin.ner import ClinicalNote, PatternSet
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
 from fhirtwin.relations import Relation
-from fhirtwin.terminology import TerminologyIndex
+from fhirtwin.terminology import TerminologyIndex, data_lines
 
 TIMESTAMP_ENV_VAR = "FHIRTWIN_DEFAULT_TIMESTAMP"
 
@@ -91,15 +91,11 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     base = path.parent
     raw: dict = {}
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+    for line_no, line in data_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        raw[key.strip()] = value.strip()
 
     def respath(value: str) -> Path:
         p = Path(value)
@@ -115,16 +111,14 @@ def load_config_file(path: str | Path) -> dict:
             parsed[key] = respath(value)
         elif key == "out":
             parsed["out_dir"] = respath(value)
-        elif key == "seed":
-            parsed["seed"] = int(value)
-        elif key == "max_ngram":
-            parsed["max_ngram"] = int(value)
-        elif key in ("train_ratio", "validation_ratio", "test_ratio"):
-            parsed[key] = float(value)
-        elif key == "default_timestamp":
-            parsed["default_timestamp"] = value
-        elif key == "placeholder_dosage":
-            parsed["placeholder_dosage"] = value
+        elif key in ("seed", "max_ngram", "train_ratio", "validation_ratio", "test_ratio"):
+            number = float if key.endswith("_ratio") else int
+            try:
+                parsed[key] = number(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
+        elif key in ("default_timestamp", "placeholder_dosage"):
+            parsed[key] = value
         elif key in _BOOL_KEYS:
             parsed[key] = value.lower() in ("1", "true", "yes", "on")
         else:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from fhirtwin.ner import EntityMention, Sentence
 from fhirtwin.normalizer import AnnotatedMention
-from fhirtwin.terminology import EntityType
+from fhirtwin.terminology import EntityType, data_lines
 
 
 class RelationType(Enum):
@@ -46,13 +46,7 @@ DEFAULT_CUES = ("due to", "secondary to", "consistent with")
 
 def load_cues(path: str | Path) -> tuple[str, ...]:
     """Load cue phrases, one per line; blanks and ``#`` comments ignored."""
-    cues = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                cues.append(line)
-    return tuple(cues)
+    return tuple(line.strip() for _, line in data_lines(path))
 
 
 _SYMPTOM_HEADS = frozenset({EntityType.OBSERVATION, EntityType.CONDITION})

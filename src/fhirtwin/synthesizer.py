@@ -26,7 +26,7 @@ from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP, TwinBundle
 from fhirtwin.ner import ClinicalNote
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.relations import RelationType
-from fhirtwin.terminology import EntityType, TerminologyIndex
+from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -87,15 +87,11 @@ class SyntheticCase:
 def load_templates(path: str | Path) -> TemplateSet:
     """Load a tab-separated template file with history/diagnosis/medication/lab rows."""
     entries: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected key<TAB>template")
-            entries[parts[0].strip()] = parts[1]
+    for line_no, line in data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{line_no}: expected key<TAB>template")
+        entries[parts[0].strip()] = parts[1]
     missing = {"history", "diagnosis", "medication", "lab"} - set(entries)
     if missing:
         raise ValueError(f"{path}: missing templates: {sorted(missing)}")
@@ -172,6 +168,7 @@ def synthesize(
     timestamp = lab_times[0] if lab_times else default_timestamp
 
     patient = fhir_assembly.build_patient(record.patient_id)
+    blocks = fhir_assembly.SharedBlocks(patient)
     builder = _NoteBuilder()
     gold_mentions: list[GoldMention] = []
     gold_relations: list[GoldRelation] = []
@@ -183,7 +180,7 @@ def synthesize(
         )
         resources.append(
             fhir_assembly.condition_resource(
-                record.patient_id, patient, concept, description, span[0]
+                record.patient_id, concept, description, span[0], blocks
             )
         )
 
@@ -259,12 +256,12 @@ def synthesize(
         resources.append(
             fhir_assembly.medication_request_resource(
                 record.patient_id,
-                patient,
                 concept,
                 medication.drug,
                 dosage_texts,
                 timestamp,
                 drug_span[0],
+                blocks,
             )
         )
 
@@ -295,12 +292,12 @@ def synthesize(
         resources.append(
             fhir_assembly.observation_resource(
                 record.patient_id,
-                patient,
                 concept,
                 lab.test,
                 value_text,
                 timestamp,
                 obs_span[0],
+                blocks,
             )
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class TerminologyError(Exception):
@@ -207,18 +207,21 @@ class TerminologyIndex:
         return TerminologyIndex(entries=dict(self.entries), synonym_map=merged)
 
 
-def _iter_csv_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
-    """Yield (line_no, cells) for data rows, skipping comments and blanks.
+def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, line without its newline) for every line of a UTF-8
+    text file that is neither blank nor a ``#`` comment.
 
-    Rows are parsed line by line so errors can name the offending line;
-    quoted embedded newlines are therefore not supported.
+    Raises ``ValueError`` naming the file when it is not UTF-8. CSV rows
+    are parsed one line each, so quoted embedded newlines are not supported.
     """
-    with path.open(encoding="utf-8", newline="") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield line_no, next(csv.reader([raw]))
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                stripped = raw.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield line_no, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_dictionary(path: str | Path) -> TerminologyIndex:
@@ -230,7 +233,8 @@ def load_dictionary(path: str | Path) -> TerminologyIndex:
     """
     path = Path(path)
     staged: dict[str, list[ConceptEntry]] = {}
-    for line_no, cells in _iter_csv_rows(path):
+    for line_no, line in data_lines(path):
+        cells = next(csv.reader([line]))
         if len(cells) != 5:
             raise MalformedRowError(
                 path, line_no, f"expected 5 columns, found {len(cells)}"
@@ -267,7 +271,8 @@ def load_synonyms(path: str | Path) -> dict[str, str]:
     """Load a two-column alias,canonical file into a normalized mapping."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    for line_no, cells in _iter_csv_rows(path):
+    for line_no, line in data_lines(path):
+        cells = next(csv.reader([line]))
         if len(cells) != 2:
             raise MalformedRowError(
                 path, line_no, f"expected 2 columns, found {len(cells)}"
@@ -304,5 +309,9 @@ def load_terminology(
     """Convenience loader: merge several dictionaries, then attach synonyms."""
     index = merge_indexes(*(load_dictionary(p) for p in dictionary_paths))
     if synonym_path is not None:
-        index = index.with_synonyms(load_synonyms(synonym_path))
+        synonyms = load_synonyms(synonym_path)
+        try:
+            index = index.with_synonyms(synonyms)
+        except ValueError as exc:
+            raise ValueError(f"{synonym_path}: {exc}") from exc
     return index

@@ -18,6 +18,7 @@ from fhirtwin.evaluation import (
 )
 from fhirtwin.fhir_assembly import (
     Severity,
+    SharedBlocks,
     TwinBundle,
     build_patient,
     bundle,
@@ -158,9 +159,9 @@ def _random_resource(rng, patient, other_patient, code):
         ]
     )
     concept = NormalizedConcept(concept_system, str(code), f"concept {code}", 1.0)
-    subject_of = rng.choice([patient, patient, patient, other_patient])
+    blocks = SharedBlocks(rng.choice([patient, patient, patient, other_patient]))
     if rtype == "Condition":
-        resource = condition_resource("p1", subject_of, concept, f"text {code}", code)
+        resource = condition_resource("p1", concept, f"text {code}", code, blocks)
         fields = dict(resource.fields)
         fields["clinicalStatus"] = {
             "coding": [{"system": "urn:cs", "code": rng.choice(_STATUS_CODES)}]
@@ -172,22 +173,22 @@ def _random_resource(rng, patient, other_patient, code):
     elif rtype == "Observation":
         resource = observation_resource(
             "p1",
-            subject_of,
             concept,
             f"name {code}",
             rng.choice(["", "7.2", "145/92"]),
             rng.choice(["2023-01-01T00:00:00Z", "2023-06-01T00:00:00Z"]),
             code,
+            blocks,
         )
     else:
         resource = medication_request_resource(
             "p1",
-            subject_of,
             concept,
             f"drug {code}",
             rng.choice([["10mg daily"], ["as directed"], []]),
             rng.choice(["2023-01-01T00:00:00Z", "2023-06-01T00:00:00Z"]),
             code,
+            blocks,
         )
     if rng.random() < 0.3:  # drop one required field entirely
         victim = rng.choice(list(resource.fields))

@@ -5,7 +5,8 @@ import shutil
 
 import pytest
 
-from fhirtwin.cli import load_notes, main
+from fhirtwin.cli import ABSENT, check, load_notes, main
+from fhirtwin.pipeline import Pipeline
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
 
@@ -138,7 +139,8 @@ def test_duplicate_note_ids_keep_the_first_note(tmp_path, caplog):
     write_json(notes / "n1.json", {"text": "The weather is nice"})
     write_json(notes / "a.json", {"note_id": "n2", "text": FIG1_TEXT})
     write_json(notes / "b.json", {"note_id": "n2", "text": "The weather is nice"})
-    loaded = load_notes(notes)
+    loaded, skipped = load_notes(notes)
+    assert len(skipped) == 2
     assert [(n.note_id, n.text) for n in loaded] == [
         ("n1", TABLE3_TEXT),
         ("n2", FIG1_TEXT),
@@ -147,7 +149,7 @@ def test_duplicate_note_ids_keep_the_first_note(tmp_path, caplog):
     assert f"skipping {notes / 'b.json'}: note id n2 already read from" in caplog.text
 
     out = tmp_path / "out"
-    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
     assert sorted(p.name for p in (out / "annotations").iterdir()) == [
         "n1.json",
         "n2.json",
@@ -164,17 +166,17 @@ def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
     write_json(notes / "null_patient.json", {"patient_id": None, "text": "BP 120/80."})
     write_json(notes / "dict_time.json", {"timestamp": {"x": 1}, "text": "BP 120/80."})
     write_json(notes / "good.json", {"timestamp": None, "text": FIG1_TEXT})
-    assert [n.note_id for n in load_notes(notes)] == ["good"]
+    assert [n.note_id for n in load_notes(notes)[0]] == ["good"]
     for name, fields in (
         ("int_text", "text"),
         ("int_id", "note_id"),
         ("null_patient", "patient_id"),
         ("dict_time", "timestamp"),
     ):
-        assert f"skipping {notes / name}.json: {fields} not a string" in caplog.text
+        assert f"skipping {notes / name}.json: {fields}: not a string" in caplog.text
 
     out = tmp_path / "out"
-    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
     assert [p.name for p in (out / "annotations").iterdir()] == ["good.json"]
 
 
@@ -197,13 +199,13 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
         (notes / name).mkdir()
     else:
         (notes / name).write_bytes(content)
-    assert [n.note_id for n in load_notes(notes)] == ["n1"]
+    assert [n.note_id for n in load_notes(notes)[0]] == ["n1"]
     assert f"skipping {notes / name}: " in caplog.text
     assert reason in caplog.text
 
     out = tmp_path / "out"
-    assert main(["extract", str(notes), "--out", str(out)]) == 0
-    assert main(["twin", str(notes), "--out", str(out)]) == 0
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
+    assert main(["twin", str(notes), "--out", str(out)]) == 3
     assert [p.name for p in (out / "annotations").iterdir()] == ["n1.json"]
     assert sorted(p.name for p in (out / "bundles").iterdir()) == [
         "twin_n1.issues.json",
@@ -215,13 +217,13 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
     "content, reason",
     [
         ("{bad", "Expecting property name"),
-        ('["n1"]', "not a JSON object with a list of objects as notes"),
-        ('{"notes": {"note_id": "n1"}}', "not a JSON object with a list of objects"),
-        ('{"notes": ["n1"]}', "not a JSON object with a list of objects as notes"),
-        ('{"notes": [{"patient_id": "p1"}]}', "note_id not a string"),
+        ('["n1"]', "not a JSON object"),
+        ('{"notes": {"note_id": "n1"}}', "notes: not a list"),
+        ('{"notes": ["n1"]}', "notes[0]: not a JSON object"),
+        ('{"notes": [{"patient_id": "p1"}]}', "notes[0].note_id: missing"),
         (
             '{"notes": [{"note_id": "n1", "timestamp": {"x": 1}}]}',
-            "timestamp not a string",
+            "notes[0].timestamp: not a string",
         ),
     ],
     ids=[
@@ -239,15 +241,16 @@ def test_bad_manifest_is_skipped(tmp_path, caplog, content, reason):
     (corpus / "notes" / "n1.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
     manifest = corpus / "manifest.json"
     manifest.write_text(content, encoding="utf-8")
-    loaded = load_notes(corpus)
+    loaded, skipped = load_notes(corpus)
     assert [(n.note_id, n.patient_id, n.timestamp) for n in loaded] == [
         ("n1", "n1", None)
     ]
     assert f"skipping {manifest}: {reason}" in caplog.text
+    assert len(skipped) == 1 and reason in skipped[0]
 
     out = tmp_path / "out"
-    assert main(["extract", str(corpus), "--out", str(out)]) == 0
-    assert main(["twin", str(corpus), "--out", str(out)]) == 0
+    assert main(["extract", str(corpus), "--out", str(out)]) == 3
+    assert main(["twin", str(corpus), "--out", str(out)]) == 3
     assert [p.name for p in (out / "annotations").iterdir()] == ["n1.json"]
     assert sorted(p.name for p in (out / "bundles").iterdir()) == [
         "twin_n1.issues.json",
@@ -381,24 +384,44 @@ def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, c
 @pytest.mark.parametrize(
     "resource_type, field, value, reason",
     [
-        ("Condition", "code", "x", "Condition {id}: code is not an object"),
-        ("Condition", "clinicalStatus", ["active"], "clinicalStatus is not an object"),
-        ("Condition", "code", {"coding": ["x"]}, "code is not an object"),
+        ("Condition", "code", "x", "entry[{i}].resource.code: not a JSON object"),
+        (
+            "Condition",
+            "clinicalStatus",
+            ["active"],
+            "entry[{i}].resource.clinicalStatus: not a JSON object",
+        ),
+        (
+            "Condition",
+            "code",
+            {"coding": ["x"]},
+            "entry[{i}].resource.code.coding[0]: not a JSON object",
+        ),
         (
             "MedicationRequest",
             "medicationCodeableConcept",
             7,
-            "medicationCodeableConcept is not an object",
+            "entry[{i}].resource.medicationCodeableConcept: not a JSON object",
         ),
-        ("Observation", "subject", "Patient/p001", "subject is not an object"),
+        (
+            "Observation",
+            "subject",
+            "Patient/p001",
+            "entry[{i}].resource.subject: not a JSON object",
+        ),
         (
             "MedicationRequest",
             "dosageInstruction",
             "10mg daily",
-            "dosageInstruction is not a list of objects",
+            "entry[{i}].resource.dosageInstruction: not a list",
         ),
-        ("Observation", "resourceType", "Encounter", "not a profile resource type"),
-        ("Patient", "resourceType", "Person", "bundle has no Patient entry"),
+        (
+            "Observation",
+            "resourceType",
+            "Encounter",
+            "entry[{i}].resource.resourceType: not one of",
+        ),
+        ("Patient", "resourceType", "Person", "entry[{i}].resource.resourceType: not one of"),
         (
             "Patient",
             "identifier",
@@ -423,9 +446,9 @@ def test_evaluate_rejects_reference_it_cannot_score(
 ):
     path = corpus / "references" / "twin_p001.json"
     body = read_json(path)
-    resource = next(
-        entry["resource"]
-        for entry in body["entry"]
+    i, resource = next(
+        (i, entry["resource"])
+        for i, entry in enumerate(body["entry"])
         if entry["resource"]["resourceType"] == resource_type
     )
     resource[field] = value
@@ -433,8 +456,218 @@ def test_evaluate_rejects_reference_it_cannot_score(
     out = tmp_path / "eval"
     assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
     assert f"bad corpus file {path}: ValueError: " in caplog.text
-    assert reason.format(id=repr(resource["id"])) in caplog.text
+    assert reason.format(i=i) in caplog.text
     assert not out.exists()
+
+
+def first_of(body, resource_type):
+    return next(
+        (i, entry["resource"])
+        for i, entry in enumerate(body["entry"])
+        if entry["resource"]["resourceType"] == resource_type
+    )
+
+
+def set_gold_start(body):
+    body["mentions"][0]["start"] = str(body["mentions"][0]["start"])
+    return "mentions[0].start: not an integer"
+
+
+def set_gold_head_of_three(body):
+    body["relations"][0]["head"].append(9)
+    return "relations[0].head: not a list of 2"
+
+
+def set_gold_note_id(body):
+    body["note_id"] = "p002-note"
+    return "note_id 'p002-note' is not the manifest's 'p001-note'"
+
+
+def set_reference_id(body):
+    i, resource = first_of(body, "Condition")
+    resource["id"] = 5
+    return f"entry[{i}].resource.id: not a string"
+
+
+def add_second_coding(body):
+    i, resource = first_of(body, "Condition")
+    coding = resource["code"]["coding"]
+    coding.append({"system": coding[0]["system"], "code": 5})
+    return f"entry[{i}].resource.code.coding[1].code: not a string"
+
+
+def set_dosage_text(body):
+    i, resource = first_of(body, "MedicationRequest")
+    resource["dosageInstruction"][0]["text"] = ["10mg", "daily"]
+    return f"entry[{i}].resource.dosageInstruction[0].text: not a string"
+
+
+def set_subject_reference(body):
+    i, resource = first_of(body, "Observation")
+    resource["subject"]["reference"] = 5
+    return f"entry[{i}].resource.subject.reference: not a string"
+
+
+@pytest.mark.parametrize(
+    "relative, mutate",
+    [
+        ("gold/p001-note.json", set_gold_start),
+        ("gold/p001-note.json", set_gold_head_of_three),
+        ("gold/p001-note.json", set_gold_note_id),
+        ("references/twin_p001.json", set_reference_id),
+        ("references/twin_p001.json", add_second_coding),
+        ("references/twin_p001.json", set_dosage_text),
+        ("references/twin_p001.json", set_subject_reference),
+    ],
+    ids=[
+        "gold_start_a_string",
+        "gold_head_of_three",
+        "gold_of_another_note",
+        "reference_id_a_number",
+        "second_coding_code_a_number",
+        "dosage_text_a_list",
+        "subject_reference_a_number",
+    ],
+)
+def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, relative, mutate):
+    path = corpus / relative
+    body = read_json(path)
+    field = mutate(body)
+    path.write_text(json.dumps(body, indent=2), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert f"bad corpus file {path}: ValueError: {field}" in caplog.text
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Setup errors and exit codes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "files, config, reason",
+    [
+        ({}, None, "{config}: No such file or directory"),
+        ({}, "colour = red\n", "{config}: unknown config key 'colour'"),
+        ({}, "seed = x\n", "{config}: seed: invalid literal for int()"),
+        ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
+        (
+            {"d.csv": "hypertension,SNOMED,38341003\n"},
+            "dictionary = d.csv\n",
+            "{dir}/d.csv:1: expected 5 columns, found 3",
+        ),
+        (
+            {"s.csv": "bp,bp\n"},
+            "synonyms = s.csv\n",
+            "{dir}/s.csv: synonym 'bp' points at itself",
+        ),
+        (
+            {"p.tsv": "dose\tDOSAGE\t(\\d+\n"},
+            "patterns = p.tsv\n",
+            "{dir}/p.tsv:1: bad regex: missing )",
+        ),
+        ({"c.txt": b"due to\n\xff\n"}, "cues = c.txt\n", "{dir}/c.txt: 'utf-8' codec"),
+        (
+            {"t.tsv": "history\tHistory of {a} and {b}.\n"},
+            "templates = t.tsv\n",
+            "{dir}/t.tsv: missing templates",
+        ),
+    ],
+    ids=[
+        "config_missing",
+        "config_unknown_key",
+        "config_bad_int",
+        "dictionary_missing",
+        "dictionary_bad_row",
+        "synonym_to_itself",
+        "pattern_bad_regex",
+        "cues_not_utf8",
+        "templates_incomplete",
+    ],
+)
+@pytest.mark.parametrize("command", ["synthesize", "extract", "twin", "evaluate"])
+def test_setup_error_is_one_line_and_exit_1(tmp_path, capsys, files, config, reason, command):
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode("utf-8")
+        (tmp_path / name).write_bytes(data)
+    config_path = tmp_path / "fhirtwin.conf"
+    if config is not None:
+        config_path.write_text(config, encoding="utf-8")
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    argv = [command, str(notes), "--out", str(tmp_path / "out"), "--config", str(config_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + reason.format(config=config_path, dir=tmp_path))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_unusable_note_files_beside_a_good_one_exit_3(tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "good.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    (notes / "latin1.txt").write_bytes("Fi\xe8vre.".encode("latin-1"))
+    write_json(notes / "int_text.json", {"text": 5})
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
+    assert main(["twin", str(notes), "--out", str(out)]) == 3
+    assert [p.name for p in (out / "annotations").iterdir()] == ["good.json"]
+    assert sorted(p.name for p in (out / "bundles").iterdir()) == [
+        "twin_good.issues.json",
+        "twin_good.json",
+    ]
+
+
+def test_a_failing_note_or_patient_exits_3(tmp_path, monkeypatch, caplog):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "good.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    (notes / "bad.txt").write_text(FIG1_TEXT + "\n", encoding="utf-8")
+    annotate = Pipeline.annotate
+
+    def failing_annotate(self, note):
+        if note.note_id == "bad":
+            raise RuntimeError("boom")
+        return annotate(self, note)
+
+    monkeypatch.setattr(Pipeline, "annotate", failing_annotate)
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
+    assert "note=bad stage=extract failed: boom" in caplog.text
+    assert main(["twin", str(notes), "--out", str(out)]) == 3
+    assert "patient=bad stage=twin failed: boom" in caplog.text
+    assert [p.name for p in (out / "annotations").iterdir()] == ["good.json"]
+    assert sorted(p.name for p in (out / "bundles").iterdir()) == [
+        "twin_good.issues.json",
+        "twin_good.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, shape, error",
+    [
+        ({"a": 1, "extra": [None]}, {"a": int}, None),
+        ({}, {"a": (int, ABSENT)}, None),
+        ({}, {"a": int}, "a: missing"),
+        ({"a": True}, {"a": int}, "a: not an integer"),
+        ({"a": None}, {"a": (str, None)}, None),
+        ({"a": 1}, {"a": (str, None, ABSENT)}, "a: not a string or null"),
+        ([[1, 2], [3, 4]], [[int, int]], None),
+        ([[1, 2], [3]], [[int, int]], "[1]: not a list of 2"),
+        ({"e": [{"t": "B"}]}, {"e": [{"t": frozenset("AB")}]}, None),
+        ({"e": [{"t": "C"}]}, {"e": [{"t": frozenset("AB")}]}, "e[0].t: not one of A, B"),
+        ("text", {"a": int}, "not a JSON object"),
+    ],
+)
+def test_check(value, shape, error):
+    if error is None:
+        check(value, shape)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            check(value, shape)
+        assert str(excinfo.value) == error
 
 
 # ---------------------------------------------------------------------------

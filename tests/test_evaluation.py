@@ -19,6 +19,7 @@ from fhirtwin.evaluation import (
     semantic_completeness,
 )
 from fhirtwin.fhir_assembly import (
+    SharedBlocks,
     TwinBundle,
     build_patient,
     bundle,
@@ -26,6 +27,7 @@ from fhirtwin.fhir_assembly import (
     validate,
 )
 from fhirtwin.normalizer import NormalizedConcept
+from fhirtwin.pipeline import Pipeline
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
 from fhirtwin.terminology import CodeSystem
 
@@ -104,13 +106,14 @@ def concept(system, code, display):
 
 def small_bundle(patient_id="p1", conditions=(("38341003", "Hypertensive disorder"),)):
     patient = build_patient(patient_id)
+    blocks = SharedBlocks(patient)
     resources = [
         condition_resource(
             patient_id,
-            patient,
             concept(CodeSystem.SNOMED, code, display),
             display,
             i,
+            blocks,
         )
         for i, (code, display) in enumerate(conditions)
     ]
@@ -231,8 +234,8 @@ def small_corpus(pipeline, config, tables_dir):
     return cases
 
 
-def test_evaluate_corpus_full_pipeline(small_corpus, config):
-    report = evaluate_corpus(small_corpus, config)
+def test_evaluate_corpus_full_pipeline(small_corpus, pipeline):
+    report = evaluate_corpus(small_corpus, pipeline)
     assert report.ner_f1 == 1.0
     assert report.re_f1 == 1.0
     assert report.semantic_completeness == 1.0
@@ -242,7 +245,7 @@ def test_evaluate_corpus_full_pipeline(small_corpus, config):
 
 def test_evaluate_corpus_without_relations(small_corpus, config):
     ablated = dataclasses.replace(config, disable_relations=True)
-    report = evaluate_corpus(small_corpus, ablated)
+    report = evaluate_corpus(small_corpus, Pipeline(ablated))
     assert report.re_f1 is None
     assert report.semantic_completeness < 1.0
     assert "--" in report.summary_row()
@@ -253,7 +256,7 @@ def test_evaluate_corpus_empty():
         evaluate_corpus([], None)
 
 
-def test_evaluate_corpus_single_empty_note(config):
+def test_evaluate_corpus_single_empty_note(pipeline):
     from fhirtwin.evaluation import GoldAnnotations
     from fhirtwin.ner import ClinicalNote
 
@@ -263,7 +266,7 @@ def test_evaluate_corpus_single_empty_note(config):
         gold=GoldAnnotations("n1", (), ()),
         reference=patient_only,
     )
-    report = evaluate_corpus([case], config)
+    report = evaluate_corpus([case], pipeline)
     # zero-denominator conventions: F1 components are 0, and the
     # both-empty bundle comparison scores 1 by the stated edge rule
     assert (report.ner_precision, report.ner_recall, report.ner_f1) == (0.0, 0.0, 0.0)
@@ -272,8 +275,8 @@ def test_evaluate_corpus_single_empty_note(config):
     assert report.interoperability == 1.0
 
 
-def test_report_serialization_round_trip(small_corpus, config):
-    report = evaluate_corpus(small_corpus, config)
+def test_report_serialization_round_trip(small_corpus, pipeline):
+    report = evaluate_corpus(small_corpus, pipeline)
     body = report.to_dict()
     assert body["ner_f1"] == 1.0
     assert body["re_f1"] == 1.0
