@@ -17,7 +17,12 @@ dictionary costs nothing per note once its first note has been scanned.
 
 from __future__ import annotations
 
+import re
 from weakref import ref
+
+#: A whitespace run, which a key holds as one space. ``\s`` matches exactly
+#: the characters ``str.isspace`` accepts.
+_WHITESPACE = re.compile(r"\s+")
 
 #: id(key set) -> (weak reference to that set, its prefix set). Keyed by
 #: identity because comparing two large sets for equality is O(size); the
@@ -51,22 +56,6 @@ def token_spans(text: str) -> list[tuple[int, int]]:
                 break
         spans.append((start, i))
     return spans
-
-
-def _collapse_whitespace(text: str) -> str:
-    """Replace each whitespace run with a single space, keeping other chars."""
-    parts: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            parts.append(" ")
-            while i < n and text[i].isspace():
-                i += 1
-        else:
-            parts.append(text[i])
-            i += 1
-    return "".join(parts)
 
 
 def key_prefixes(keys: frozenset[str] | set[str]) -> frozenset[str]:
@@ -105,7 +94,7 @@ def dictionary_spans(
         return []
     folded = [text[s:e].casefold() for s, e in spans]
     seps = [
-        _collapse_whitespace(text[spans[k][1] : spans[k + 1][0]].casefold())
+        _WHITESPACE.sub(" ", text[spans[k][1] : spans[k + 1][0]].casefold())
         for k in range(count - 1)
     ]
     prefixes = key_prefixes(keys)

@@ -6,7 +6,8 @@ command is idempotent over its output directory: re-running with the
 same inputs, config and seed rewrites identical bytes.
 
 Exit codes: 0 ok, 1 bad setup, 2 bad split ratios or corpus, 3 a partial
-``extract``/``twin`` run. Input JSON is read through ``_read_json`` only.
+``synthesize``/``extract``/``twin`` run. Input JSON is read through
+``_read_json`` only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -184,6 +186,7 @@ def _read_note(path: Path, meta: dict[str, dict]) -> ClinicalNote:
 def load_notes(directory: str | Path) -> tuple[list[ClinicalNote], list[str]]:
     """Read notes from a directory of ``.txt``/``.json`` files.
 
+    Raises ``OSError`` naming ``directory`` when it cannot be listed.
     Returns the notes, sorted by id, and a warning for each input skipped:
     a manifest or note file that cannot be read or is not of its shape, or
     a note whose id an earlier file had (``.txt`` files come first, then
@@ -192,6 +195,7 @@ def load_notes(directory: str | Path) -> tuple[list[ClinicalNote], list[str]]:
     both ids are the file stem and there is no timestamp.
     """
     directory = Path(directory)
+    os.scandir(directory).close()
     skipped: list[str] = []
 
     def skip(path: Path, reason) -> None:
@@ -285,6 +289,7 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
         return 1
 
     cases = []
+    skipped = 0
     for record in records:
         try:
             cases.append(
@@ -297,6 +302,7 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
             )
         except UnresolvableRecordError as exc:
             logger.warning("skipping patient %s: %s", record.patient_id, exc)
+            skipped += 1
     try:
         train, val, test = split_corpus(cases, config.split_ratios, config.seed)
     except BadRatiosError as exc:
@@ -350,12 +356,15 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
         len(val),
         len(test),
     )
-    return 0
+    return 3 if skipped else 0
 
 
 def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
     config, pipeline, _ = setup
-    notes, skipped = load_notes(args.notes)
+    try:
+        notes, skipped = load_notes(args.notes)
+    except OSError as exc:
+        return _setup_error(exc)
     out = config.out_dir
     (out / "annotations").mkdir(parents=True, exist_ok=True)
     failed = 0
@@ -381,7 +390,10 @@ def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
 
 def cmd_twin(args: argparse.Namespace, setup: Setup) -> int:
     config, pipeline, _ = setup
-    notes, skipped = load_notes(args.notes)
+    try:
+        notes, skipped = load_notes(args.notes)
+    except OSError as exc:
+        return _setup_error(exc)
     out = config.out_dir
     (out / "bundles").mkdir(parents=True, exist_ok=True)
     by_patient: dict[str, list[ClinicalNote]] = {}
@@ -560,6 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setup_error(exc: Exception) -> int:
+    """Print ``exc`` as one ``error: <file>: <reason>`` line; exit code 1."""
+    reason = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(
@@ -572,9 +591,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = _config_from_args(args)
         setup = (config, Pipeline(config), load_templates(config.templates))
     except (OSError, ValueError, TerminologyError) as exc:
-        reason = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
-        print(f"error: {reason}", file=sys.stderr)
-        return 1
+        return _setup_error(exc)
     return args.func(args, setup)
 
 

@@ -11,6 +11,11 @@ blank lines are ignored. A second two-column file maps synonym aliases to
 canonical surface forms (``alias,canonical``); aliases must point directly
 at canonical forms, never at other aliases.
 
+``load_terminology`` builds an index in one pass: it streams the rows of
+every dictionary, in file order, into one staging dict, keeps the first
+entry of each concept per surface, and attaches the synonym map, which
+``load_synonyms`` has already checked for self-loops and chains.
+
 Indexes are immutable once built and safe to share across threads. Each
 keeps a memo of what a normalized surface resolves to, created empty on
 the first lookup, so a note that repeats a concept resolves it once. The
@@ -187,25 +192,6 @@ class TerminologyIndex:
     def _match_keys(self) -> frozenset[str]:
         return frozenset(self.entries) | frozenset(self.synonym_map)
 
-    def with_synonyms(self, synonym_map: dict[str, str]) -> "TerminologyIndex":
-        """Return a copy carrying ``synonym_map`` (validated as alias->canonical)."""
-        merged = dict(self.synonym_map)
-        for alias, canonical in synonym_map.items():
-            alias_n = normalize_surface(alias)
-            canonical_n = normalize_surface(canonical)
-            if not alias_n or not canonical_n:
-                raise ValueError("synonym rows need a non-empty alias and canonical")
-            if alias_n == canonical_n:
-                raise ValueError(f"synonym {alias_n!r} points at itself")
-            merged[alias_n] = canonical_n
-        for alias_n, canonical_n in merged.items():
-            if canonical_n in merged:
-                raise ValueError(
-                    f"synonym chain {alias_n!r} -> {canonical_n!r}: aliases must "
-                    "point directly at canonical forms"
-                )
-        return TerminologyIndex(entries=dict(self.entries), synonym_map=merged)
-
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line without its newline) for every line of a UTF-8
@@ -224,15 +210,9 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_dictionary(path: str | Path) -> TerminologyIndex:
-    """Load one dictionary file into a fresh index.
-
-    Any malformed row aborts the load; no partial index is returned.
-    Repeated (system, code) pairs are legal and simply register additional
-    surface forms for the same concept.
-    """
-    path = Path(path)
-    staged: dict[str, list[ConceptEntry]] = {}
+def _dictionary_rows(path: Path) -> Iterator[ConceptEntry]:
+    """Parse each data row of one dictionary file, raising on the first
+    malformed one."""
     for line_no, line in data_lines(path):
         cells = next(csv.reader([line]))
         if len(cells) != 5:
@@ -259,16 +239,21 @@ def load_dictionary(path: str | Path) -> TerminologyIndex:
             raise MalformedRowError(
                 path, line_no, f"entity type {raw_type!r} cannot carry codes"
             )
-        staged.setdefault(surface, []).append(
-            ConceptEntry(surface, system, code, display, entity_type)
-        )
-    return TerminologyIndex(
-        entries={surface: _first_per_identity(rows) for surface, rows in staged.items()}
-    )
+        yield ConceptEntry(surface, system, code, display, entity_type)
+
+
+def load_dictionary(path: str | Path) -> TerminologyIndex:
+    """Load one dictionary file into a fresh index: ``load_terminology([path])``."""
+    return load_terminology([path])
 
 
 def load_synonyms(path: str | Path) -> dict[str, str]:
-    """Load a two-column alias,canonical file into a normalized mapping."""
+    """Load a two-column alias,canonical file into a normalized mapping.
+
+    Later rows for the same alias win. Raises ``ValueError`` naming the
+    file when, in that final mapping, an alias points at itself or at
+    another alias.
+    """
     path = Path(path)
     mapping: dict[str, str] = {}
     for line_no, line in data_lines(path):
@@ -281,37 +266,34 @@ def load_synonyms(path: str | Path) -> dict[str, str]:
         if not alias or not canonical:
             raise MalformedRowError(path, line_no, "empty alias or canonical form")
         mapping[alias] = canonical
+    for alias, canonical in mapping.items():
+        if alias == canonical:
+            raise ValueError(f"{path}: synonym {alias!r} points at itself")
+    for alias, canonical in mapping.items():
+        if canonical in mapping:
+            raise ValueError(
+                f"{path}: synonym chain {alias!r} -> {canonical!r}: aliases must "
+                "point directly at canonical forms"
+            )
     return mapping
-
-
-def merge_indexes(*indexes: TerminologyIndex) -> TerminologyIndex:
-    """Combine indexes; duplicate entries collapse, later synonyms win.
-
-    Merging an index with itself yields an index with identical lookup
-    behavior, so repeated loads of the same file are harmless.
-    """
-    staged: dict[str, list[ConceptEntry]] = {}
-    synonym_map: dict[str, str] = {}
-    for index in indexes:
-        for surface, rows in index.entries.items():
-            staged.setdefault(surface, []).extend(rows)
-        synonym_map.update(index.synonym_map)
-    return TerminologyIndex(
-        entries={surface: _first_per_identity(rows) for surface, rows in staged.items()},
-        synonym_map=synonym_map,
-    )
 
 
 def load_terminology(
     dictionary_paths: Iterable[str | Path],
     synonym_path: Optional[str | Path] = None,
 ) -> TerminologyIndex:
-    """Convenience loader: merge several dictionaries, then attach synonyms."""
-    index = merge_indexes(*(load_dictionary(p) for p in dictionary_paths))
-    if synonym_path is not None:
-        synonyms = load_synonyms(synonym_path)
-        try:
-            index = index.with_synonyms(synonyms)
-        except ValueError as exc:
-            raise ValueError(f"{synonym_path}: {exc}") from exc
-    return index
+    """Build one index from the dictionaries, in order, and the synonyms.
+
+    Any malformed row aborts the load; no partial index is returned. A
+    surface keeps the first entry of each (system, code, entity type) in
+    file order, so loading a file twice changes nothing, and repeated
+    (system, code) pairs simply register more surface forms for a concept.
+    """
+    staged: dict[str, list[ConceptEntry]] = {}
+    for path in dictionary_paths:
+        for entry in _dictionary_rows(Path(path)):
+            staged.setdefault(entry.surface_form, []).append(entry)
+    return TerminologyIndex(
+        entries={surface: _first_per_identity(rows) for surface, rows in staged.items()},
+        synonym_map={} if synonym_path is None else load_synonyms(synonym_path),
+    )

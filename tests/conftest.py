@@ -36,6 +36,15 @@ def tables_dir():
     return default_data_dir() / "tables"
 
 
+def tree(directory):
+    """Every file under ``directory``, by relative path, with its bytes."""
+    return {
+        p.relative_to(directory): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
 def write_dictionary(tmp_path, rows, name="dict.csv"):
     path = tmp_path / name
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -8,7 +8,8 @@ the library reads them from its profile table. The extraction oracles are
 the straightforward quadratic scans that the library replaced with
 sorted-interval lookups: each candidate against every accepted span, each
 span against every sentence, each dosage or cue against every mention of
-its sentence. The lookup oracles resolve every query afresh from the
+its sentence. The whitespace oracle is the per-character loop the matcher
+replaced with one regex. The lookup oracles resolve every query afresh from the
 index's two maps, where the library memoises each hit on the index. They
 share only definitions with the library (the metric definitions, the
 allowed code systems, the overlap tie-break priority, the relation types,
@@ -158,6 +159,22 @@ def oracle_interoperability(
 # ---------------------------------------------------------------------------
 # Extraction: quadratic scans
 # ---------------------------------------------------------------------------
+
+
+def oracle_collapse_whitespace(text):
+    """Replace each ``str.isspace`` run with a single space, keeping other chars."""
+    parts = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            parts.append(" ")
+            while i < n and text[i].isspace():
+                i += 1
+        else:
+            parts.append(text[i])
+            i += 1
+    return "".join(parts)
 
 
 def oracle_containing_sentence(sentences, start, end):

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from fhirtwin.cli import ABSENT, check, load_notes, main
 from fhirtwin.pipeline import Pipeline
 
-from conftest import FIG1_TEXT, TABLE3_TEXT
+from conftest import FIG1_TEXT, TABLE3_TEXT, tree
 
 
 @pytest.fixture()
@@ -75,6 +76,22 @@ def test_synthesize_missing_tables_dir(tmp_path):
     assert main(["synthesize", str(tmp_path / "nope"), "--out", str(tmp_path / "x")]) == 1
 
 
+def test_synthesize_exits_3_after_skipping_a_patient(tmp_path, caplog):
+    rows = "patient_id,code,description\np1,ICD10:I10,hypertension\n"
+    runs = {}
+    for name, extra in (("clean", ""), ("partial", "p2,ICD10:X99,frobnosticosis\n")):
+        tables = tmp_path / name
+        tables.mkdir()
+        (tables / "diagnoses.csv").write_text(rows + extra, encoding="utf-8")
+        out = tmp_path / f"out_{name}"
+        runs[name] = main(["synthesize", str(tables), "--out", str(out)]), tree(out)
+    assert runs["clean"][0] == 0
+    assert runs["partial"][0] == 3
+    assert "skipping patient p2" in caplog.text
+    assert runs["partial"][1] == runs["clean"][1]
+    assert Path("notes/p1-note.txt") in runs["clean"][1]
+
+
 def test_synthesize_malformed_table_names_file(tmp_path, caplog):
     tables = tmp_path / "tables"
     tables.mkdir()
@@ -116,6 +133,20 @@ def test_extract_empty_notes_dir(tmp_path):
     out = tmp_path / "out"
     assert main(["extract", str(notes), "--out", str(out)]) == 0
     assert list((out / "annotations").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "twin"])
+@pytest.mark.parametrize("make", [None, "file"], ids=["missing", "a_file"])
+def test_unlistable_notes_dir_is_a_setup_error(tmp_path, capsys, command, make):
+    notes = tmp_path / "notes"
+    if make == "file":
+        notes.write_text(TABLE3_TEXT, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(notes), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    reason = "No such file or directory" if make is None else "Not a directory"
+    assert err == f"error: {notes}: {reason}\n"
+    assert not out.exists()
 
 
 def test_extract_unknown_terms_note(tmp_path):

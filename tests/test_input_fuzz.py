@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from fhirtwin.cli import main
 
-from conftest import FIG1_TEXT, TABLE3_TEXT
+from conftest import FIG1_TEXT, TABLE3_TEXT, tree
 
 #: Values of every JSON type but null, which some fields accept.
 WRONG_VALUES = (5, True, 1.5, "x", [], {})
@@ -119,14 +119,6 @@ def break_file(path: Path, data, required) -> None:
         path.write_text(text[:cut], encoding="utf-8")
         return
     path.write_text(json.dumps(body, indent=2), encoding="utf-8")
-
-
-def tree(directory: Path) -> dict:
-    return {
-        p.relative_to(directory): p.read_bytes()
-        for p in sorted(directory.rglob("*"))
-        if p.is_file()
-    }
 
 
 # ---------------------------------------------------------------------------

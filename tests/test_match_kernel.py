@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import weakref
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin._match import pymatch
@@ -13,6 +13,7 @@ from fhirtwin.ner import ClinicalNote, PatternSet, extract_entities
 from fhirtwin.terminology import load_dictionary
 
 from conftest import write_dictionary
+from oracles import oracle_collapse_whitespace
 
 
 def tokens(text):
@@ -120,6 +121,29 @@ def test_oracle_agreement_on_generated_text(text, keys, max_ngram):
     assert sorted(pymatch.dictionary_spans(text, spans, keys, max_ngram)) == (
         brute_force_dictionary_spans(text, keys, max_ngram)
     )
+
+
+#: Unicode whitespace, including the separators ``\x1c``-``\x1f`` and the
+#: non-ASCII spaces that ``str.split()`` and ``\s`` also treat as blanks.
+UNICODE_SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0"
+    "\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+@settings(max_examples=300)
+@example(f"a{UNICODE_SPACES}b")
+@given(
+    st.text(
+        st.one_of(
+            st.sampled_from(UNICODE_SPACES + "\u200b\ufeff-,."),
+            st.characters(),
+        ),
+        max_size=30,
+    )
+)
+def test_whitespace_runs_collapse_like_the_isspace_loop(text):
+    assert pymatch._WHITESPACE.sub(" ", text) == oracle_collapse_whitespace(text)
 
 
 def test_indexes_from_different_dictionaries_match_only_their_own_surfaces(tmp_path):

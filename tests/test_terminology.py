@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhirtwin import terminology
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import Pipeline
 from fhirtwin.terminology import (
@@ -15,7 +16,6 @@ from fhirtwin.terminology import (
     load_dictionary,
     load_synonyms,
     load_terminology,
-    merge_indexes,
     normalize_surface,
 )
 
@@ -123,7 +123,7 @@ def test_merge_is_idempotent(tmp_path):
         ],
     )
     once = load_dictionary(path)
-    twice = merge_indexes(load_dictionary(path), load_dictionary(path))
+    twice = load_terminology([path, path])
     for surface in ("hypertension", "metformin", "missing"):
         assert once.lookup(surface) == twice.lookup(surface)
 
@@ -141,9 +141,76 @@ def test_synonym_chain_rejected(tmp_path):
     path = write_dictionary(
         tmp_path, ["hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION"]
     )
-    index = load_dictionary(path)
+    synonyms = tmp_path / "syn.csv"
+    synonyms.write_text("htn,high bp\nhigh bp,hypertension\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        index.with_synonyms({"htn": "high bp", "high bp": "hypertension"})
+        load_terminology([path], synonyms)
+
+
+def test_one_index_and_one_dedupe_per_surface(tmp_path, monkeypatch):
+    a = write_dictionary(
+        tmp_path,
+        [
+            "hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION",
+            "HTN,SNOMED,38341003,Hypertensive disorder,CONDITION",
+        ],
+        "a.csv",
+    )
+    b = write_dictionary(
+        tmp_path,
+        [
+            "hypertension,ICD10,I10,Essential hypertension,CONDITION",
+            "hypertension,SNOMED,38341003,Second display,CONDITION",
+            "metformin,RXNORM,6809,Metformin,MEDICATION",
+        ],
+        "b.csv",
+    )
+    built, deduped = [], []
+    index_class = terminology.TerminologyIndex
+    first_per_identity = terminology._first_per_identity
+
+    def counting_index(**fields):
+        built.append(fields)
+        return index_class(**fields)
+
+    def counting_dedupe(entries):
+        deduped.append(entries)
+        return first_per_identity(entries)
+
+    monkeypatch.setattr(terminology, "TerminologyIndex", counting_index)
+    monkeypatch.setattr(terminology, "_first_per_identity", counting_dedupe)
+    index = load_terminology([a, b, a])
+    assert len(built) == 1
+    assert len(deduped) == len(index.entries) == 3
+    assert list(index.entries) == ["hypertension", "htn", "metformin"]
+    assert [(e.code, e.display) for e in index.entries["hypertension"]] == [
+        ("38341003", "Hypertensive disorder"),
+        ("I10", "Essential hypertension"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("bp,bp\n", "{path}: synonym 'bp' points at itself"),
+        (
+            "htn,high bp\nhigh bp,hypertension\n",
+            "{path}: synonym chain 'htn' -> 'high bp'",
+        ),
+        ("bp,hypertension\nq,q\nx,bp\n", "{path}: synonym 'q' points at itself"),
+        ("bp,bp\nbp,blood pressure\n", None),
+    ],
+    ids=["self_loop", "chain", "self_loop_before_chain", "overwritten_self_loop"],
+)
+def test_synonyms_are_checked_on_the_final_mapping(tmp_path, rows, error):
+    path = tmp_path / "syn.csv"
+    path.write_text(rows, encoding="utf-8")
+    if error is None:
+        assert load_synonyms(path) == {"bp": "blood pressure"}
+        return
+    with pytest.raises(ValueError) as excinfo:
+        load_synonyms(path)
+    assert str(excinfo.value).startswith(error.format(path=path))
 
 
 def test_synonym_file_loading(tmp_path):
