@@ -16,6 +16,13 @@ blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a write raises
 form, and ``dict(block)`` or ``json.loads(json.dumps(block))`` give mutable
 copies. Because they never change, ``to_json`` renders each one once per
 indentation and reuses the text; plain containers are rendered every time.
+``assemble`` also splits each distinct observation text once per call.
+
+``bundle_to_json`` writes the Bundle document straight from the
+``FhirResource`` entries, with no dict per entry or resource, and sends
+every field value through the same renderer and memo as ``to_json``, so
+its bytes are those of ``to_json`` over the equivalent dicts.
+``FhirResource`` and ``ValidationIssue`` are frozen slotted records.
 
 Rule codes:
 
@@ -173,8 +180,10 @@ class Severity(Enum):
     ERROR = "ERROR"
     WARNING = "WARNING"
 
+    __hash__ = object.__hash__  # as for terminology.CodeSystem
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ValidationIssue:
     resource_id: str
     rule: str
@@ -182,7 +191,7 @@ class ValidationIssue:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FhirResource:
     resource_type: str
     id: str
@@ -375,6 +384,7 @@ def assemble(
             dosages.setdefault(relation.head, []).append((tail.start, tail.text))
 
     blocks = SharedBlocks(patient)
+    observation_parts: dict[str, tuple[str, str]] = {}
     resources: list[FhirResource] = []
     for item in annotated:
         mention, concept = item.mention, item.concept
@@ -388,7 +398,12 @@ def assemble(
                 condition_resource(patient_id, concept, mention.text, start, blocks)
             )
         elif mention.etype == EntityType.OBSERVATION:
-            name, value = split_observation_text(mention.text)
+            parts = observation_parts.get(mention.text)
+            if parts is None:
+                parts = observation_parts[mention.text] = split_observation_text(
+                    mention.text
+                )
+            name, value = parts
             resources.append(
                 observation_resource(
                     patient_id, concept, name, value, timestamp, start, blocks
@@ -610,22 +625,48 @@ def _emit(value, newline: str, emit, rendered: Optional[dict]) -> None:
         emit(json.dumps(value))
 
 
-def resource_to_dict(resource: FhirResource) -> dict:
-    body = {"resourceType": resource.resource_type, "id": resource.id}
-    body.update(resource.fields)
-    return body
-
-
-def bundle_to_dict(twin: TwinBundle) -> dict:
-    return {
-        "resourceType": "Bundle",
-        "type": twin.bundle_type,
-        "entry": [{"resource": resource_to_dict(r)} for r in twin.entries],
-    }
+#: Text between the fields of a bundle entry's resource, and the text that
+#: opens the first and each later entry up to its ``resourceType`` value.
+_FIELD_NEWLINE = "\n        "
+_FIELD_SEPARATOR = "," + _FIELD_NEWLINE
+_ENTRY_OPEN = '{\n      "resource": {' + _FIELD_NEWLINE + '"resourceType": '
 
 
 def bundle_to_json(twin: TwinBundle) -> str:
-    return to_json(bundle_to_dict(twin))
+    """The Bundle document of ``twin`` as ``to_json`` writes it.
+
+    Each entry is rendered straight from its ``FhirResource``, with no
+    intermediate dict: ``resourceType`` and ``id`` first, then the fields,
+    where a field named ``resourceType`` or ``id`` takes that key's place
+    as ``dict.update`` would. Every value goes through ``_emit`` with one
+    read-only memo, so a shared block is rendered once.
+    """
+    parts = ['{\n  "resourceType": "Bundle",\n  "type": ']
+    emit = parts.append
+    rendered: dict = {}
+    _emit(twin.bundle_type, "\n  ", emit, rendered)
+    emit(',\n  "entry": ')
+    if not twin.entries:
+        emit("[]\n}\n")
+        return "".join(parts)
+    separator = "[\n    " + _ENTRY_OPEN
+    for resource in twin.entries:
+        fields = resource.fields
+        emit(separator)
+        resource_type = fields.get("resourceType", resource.resource_type)
+        _emit(resource_type, _FIELD_NEWLINE, emit, rendered)
+        emit(_FIELD_SEPARATOR + '"id": ')
+        _emit(fields.get("id", resource.id), _FIELD_NEWLINE, emit, rendered)
+        for key, value in fields.items():
+            if key != "resourceType" and key != "id":
+                emit(_FIELD_SEPARATOR)
+                emit(_encode_str(key))
+                emit(": ")
+                _emit(value, _FIELD_NEWLINE, emit, rendered)
+        emit("\n      }\n    }")
+        separator = ",\n    " + _ENTRY_OPEN
+    emit("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def resource_from_dict(body: dict) -> FhirResource:

@@ -5,6 +5,14 @@ configurable set of regular-expression patterns for dosages, observations
 with inline values, and temporal expressions. Everything here is a pure
 function of its inputs, so notes can be processed in parallel against a
 shared read-only index.
+
+``extract_entities`` makes one tuple per candidate,
+``(start - end, start, priority, end, sentence index)``, whose natural
+order is the overlap ranking, and gives it its sentence as it is made, so
+a candidate that crosses a sentence boundary is never kept. Each distinct
+dictionary surface of a note is looked up once. ``Sentence`` and
+``EntityMention`` are frozen slotted records: they carry no ``__dict__``,
+which keeps the many made per long note small.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from fhirtwin._match.pymatch import dictionary_spans, token_spans
 from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
@@ -57,6 +66,10 @@ _ETYPE_BY_PRIORITY = tuple(sorted(_ETYPE_PRIORITY, key=_ETYPE_PRIORITY.__getitem
 
 DEFAULT_MAX_NGRAM = 6
 
+#: An extraction candidate ranked for overlap resolution:
+#: ``(start - end, start, priority, end, sentence index)``.
+Candidate = tuple[int, int, int, int, int]
+
 
 @dataclass(frozen=True)
 class ClinicalNote:
@@ -72,14 +85,14 @@ class ClinicalNote:
             raise ValueError("patient_id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     start: int
     end: int
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
     mention_id: str
     note_id: str
@@ -186,40 +199,41 @@ def segment(text: str) -> list[Sentence]:
 
 
 def _containing_sentence(
-    sentences: list[Sentence], starts: list[int], start: int, end: int
+    starts: list[int], ends: list[int], start: int, end: int
 ) -> Optional[int]:
     """Index of the sentence holding the non-empty span, or ``None``.
 
-    ``sentences`` are sorted and disjoint, as ``segment`` returns them, and
-    ``starts`` lists their start offsets, so only the last sentence that
-    starts at or before ``start`` can hold the span.
+    ``starts`` and ``ends`` list the offsets of sorted, disjoint sentences,
+    as ``segment`` returns them, so only the last sentence that starts at
+    or before ``start`` can hold the span.
     """
     i = bisect_right(starts, start) - 1
-    if i >= 0 and end <= sentences[i].end:
-        return sentences[i].index
+    if i >= 0 and end <= ends[i]:
+        return i
     return None
 
 
-def _resolve_overlaps(
-    candidates: list[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
+def _resolve_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     """Longest span wins; ties go to leftmost start, then etype priority.
 
-    Each candidate is ``(start, end, priority)``, with the ``_ETYPE_PRIORITY``
-    of its entity type, so that ordering them compares ints only.
+    Each candidate is ``(start - end, start, priority, end, sentence)``,
+    with the ``_ETYPE_PRIORITY`` of its entity type, so the natural order
+    of the tuples is the ranking and comparing them compares ints only.
     Candidates are non-empty spans, and two of them overlap exactly when
     they share a character. So a candidate is accepted when none of its
     characters is covered by an accepted span yet, which costs time in
     proportion to its length, not to the number of spans accepted.
+    Accepted candidates are returned in start order.
     """
-    ordered = sorted(set(candidates), key=lambda c: (c[0] - c[1], c[0], c[2], c[1]))
-    covered = bytearray(max((end for _, end, _ in ordered), default=0))
-    accepted: list[tuple[int, int, int]] = []
-    for start, end, priority in ordered:
+    ranked = sorted(set(candidates))
+    covered = bytearray(max((c[3] for c in ranked), default=0))
+    accepted: list[Candidate] = []
+    for candidate in ranked:
+        _, start, _, end, _ = candidate
         if covered.find(1, start, end) < 0:
             covered[start:end] = b"\x01" * (end - start)
-            accepted.append((start, end, priority))
-    accepted.sort(key=lambda c: c[0])
+            accepted.append(candidate)
+    accepted.sort(key=itemgetter(1))
     return accepted
 
 
@@ -238,46 +252,49 @@ def extract_entities(
     """
     text = note.text
     sentences = segment(text)
-    sentence_starts = [sentence.start for sentence in sentences]
-    candidates: list[tuple[int, int, int]] = []
+    starts = [sentence.start for sentence in sentences]
+    ends = [sentence.end for sentence in sentences]
+    # Sentence containment is decided as each candidate is made, before
+    # overlap resolution, so that a boundary-crossing candidate cannot
+    # knock out an in-sentence one.
+    candidates: list[Candidate] = []
 
     keys = index.match_keys()
     if keys:
-        spans = token_spans(text)
-        for start, end in dictionary_spans(text, spans, keys, max_ngram):
-            entries = index.lookup(text[start:end])
-            if entries:
-                candidates.append(
-                    (start, end, _ETYPE_PRIORITY[entries[0].entity_type])
+        # Each distinct surface is looked up once per note.
+        priority_of: dict[str, Optional[int]] = {}
+        for start, end in dictionary_spans(text, token_spans(text), keys, max_ngram):
+            surface = text[start:end]
+            if surface not in priority_of:
+                entries = index.lookup(surface)
+                priority_of[surface] = (
+                    _ETYPE_PRIORITY[entries[0].entity_type] if entries else None
                 )
+            priority = priority_of[surface]
+            if priority is not None:
+                sentence = _containing_sentence(starts, ends, start, end)
+                if sentence is not None:
+                    candidates.append((start - end, start, priority, end, sentence))
 
     for pattern in patterns.patterns:
         priority = _ETYPE_PRIORITY[pattern.etype]
         for match in pattern.regex.finditer(text):
-            if match.start() < match.end():
-                candidates.append((match.start(), match.end(), priority))
+            start, end = match.span()
+            if start < end:
+                sentence = _containing_sentence(starts, ends, start, end)
+                if sentence is not None:
+                    candidates.append((start - end, start, priority, end, sentence))
 
-    # Sentence containment is decided before overlap resolution so that a
-    # boundary-crossing candidate cannot knock out an in-sentence one.
-    contained: list[tuple[int, int, int]] = []
-    sentence_of: dict[tuple[int, int], int] = {}
-    for start, end, priority in candidates:
-        sentence_index = _containing_sentence(
-            sentences, sentence_starts, start, end
-        )
-        if sentence_index is not None:
-            contained.append((start, end, priority))
-            sentence_of[(start, end)] = sentence_index
-
+    note_id = note.note_id
     return [
         EntityMention(
-            mention_id=f"{note.note_id}:{start}-{end}",
-            note_id=note.note_id,
-            start=start,
-            end=end,
-            text=text[start:end],
-            etype=_ETYPE_BY_PRIORITY[priority],
-            sentence_index=sentence_of[(start, end)],
+            f"{note_id}:{start}-{end}",
+            note_id,
+            start,
+            end,
+            text[start:end],
+            _ETYPE_BY_PRIORITY[priority],
+            sentence,
         )
-        for start, end, priority in _resolve_overlaps(contained)
+        for _, start, priority, end, sentence in _resolve_overlaps(candidates)
     ]

@@ -5,6 +5,11 @@ score 1.0, synonym-resolved matches 0.9; ties fall back to per-type system
 preference (SNOMED over ICD-10 for conditions, LOINC over SNOMED for
 observations) and finally to the smaller code. Dosage and temporal
 mentions never carry codes; they shape resource structure instead.
+
+``normalize_all`` normalizes each distinct (text, entity type) once per
+call and hands the same concept to every mention that repeats it; the
+memo lives only for that call. ``NormalizedConcept`` and
+``AnnotatedMention`` are frozen slotted records.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class TypeMismatchError(Exception):
     """normalize() was called on a mention type that never carries codes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedConcept:
     system: CodeSystem
     code: str
@@ -75,7 +80,7 @@ class NormalizedConcept:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedMention:
     mention: EntityMention
     concept: Optional[NormalizedConcept]
@@ -169,11 +174,19 @@ def normalize(
 def normalize_all(
     mentions: list[EntityMention], index: TerminologyIndex
 ) -> list[AnnotatedMention]:
-    """Order-preserving normalization; non-codeable mentions pass through."""
+    """Order-preserving normalization; non-codeable mentions pass through.
+
+    Each distinct (text, entity type) is normalized once per call.
+    """
+    concepts: dict[tuple[str, EntityType], Optional[NormalizedConcept]] = {}
     annotated: list[AnnotatedMention] = []
     for mention in mentions:
+        concept = None
         if mention.etype in CODEABLE_TYPES:
-            annotated.append(AnnotatedMention(mention, normalize(mention, index)))
-        else:
-            annotated.append(AnnotatedMention(mention, None))
+            key = (mention.text, mention.etype)
+            if key in concepts:
+                concept = concepts[key]
+            else:
+                concept = concepts[key] = normalize(mention, index)
+        annotated.append(AnnotatedMention(mention, concept))
     return annotated

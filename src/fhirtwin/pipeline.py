@@ -117,6 +117,9 @@ def load_config_file(path: str | Path) -> dict:
                 parsed[key] = number(value)
             except ValueError as exc:
                 raise ValueError(f"{path}: {key}: {exc}") from None
+            # Below 1 the matcher would silently find no dictionary mention.
+            if key == "max_ngram" and parsed[key] < 1:
+                raise ValueError(f"{path}: max_ngram: {value} is below 1")
         elif key in ("default_timestamp", "placeholder_dosage"):
             parsed[key] = value
         elif key in _BOOL_KEYS:
@@ -169,13 +172,13 @@ class Pipeline:
 
     def annotate(self, note: ClinicalNote) -> NoteAnnotation:
         cfg = self.config
-        sentences = ner.segment(note.text)
         mentions = ner.extract_entities(note, self.index, self.patterns, cfg.max_ngram)
         if cfg.normalizes:
             annotated = normalize_all(mentions, self.index)
         else:
             annotated = [AnnotatedMention(m, None) for m in mentions]
         if cfg.extracts_relations:
+            sentences = ner.segment(note.text)
             rels = relations.extract_relations(annotated, sentences, note.text, self.cues)
         else:
             rels = []

@@ -33,8 +33,10 @@ class RelationType(Enum):
     HAS_DOSAGE = "has-dosage"
     HAS_RESULT = "has-result"
 
+    __hash__ = object.__hash__  # as for terminology.CodeSystem
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Relation:
     rtype: RelationType
     head: str

@@ -66,6 +66,10 @@ class CodeSystem(Enum):
     LOINC = "http://loinc.org"
     RXNORM = "http://www.nlm.nih.gov/research/umls/rxnorm"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with equality and skips Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
     @property
     def uri(self) -> str:
         return self.value
@@ -83,6 +87,8 @@ class EntityType(Enum):
     OBSERVATION = "OBSERVATION"
     DOSAGE = "DOSAGE"
     TEMPORAL = "TEMPORAL"
+
+    __hash__ = object.__hash__  # as for CodeSystem
 
 
 #: Entity types that may carry an ontology code (and appear in dictionaries).

@@ -10,7 +10,9 @@ sorted-interval lookups: each candidate against every accepted span, each
 span against every sentence, each dosage or cue against every mention of
 its sentence. The whitespace oracle is the per-character loop the matcher
 replaced with one regex. The lookup oracles resolve every query afresh from the
-index's two maps, where the library memoises each hit on the index. They
+index's two maps, where the library memoises each hit on the index. The
+bundle oracle builds the plain dict document that ``to_json`` renders,
+where the library writes each entry straight from its resource. They
 share only definitions with the library (the metric definitions, the
 allowed code systems, the overlap tie-break priority, the relation types,
 the surface normalization), never its code paths.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from fhirtwin.fhir_assembly import TwinBundle, resource_to_dict
+from fhirtwin.fhir_assembly import FhirResource, TwinBundle
 from fhirtwin.ner import _ETYPE_PRIORITY
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
@@ -90,6 +92,22 @@ def resource_key(resource: dict) -> tuple:
     else:
         primary = ("text", (resource.get(field) or {}).get("text", ""))
     return (resource["resourceType"], primary)
+
+
+def resource_to_dict(resource: FhirResource) -> dict:
+    body = {"resourceType": resource.resource_type, "id": resource.id}
+    body.update(resource.fields)
+    return body
+
+
+def bundle_to_dict(twin: TwinBundle) -> dict:
+    """The Bundle document as plain dicts, which ``to_json`` renders to the
+    bytes ``bundle_to_json`` writes entry by entry."""
+    return {
+        "resourceType": "Bundle",
+        "type": twin.bundle_type,
+        "entry": [{"resource": resource_to_dict(r)} for r in twin.entries],
+    }
 
 
 def _non_patient(twin: TwinBundle) -> list[dict]:

@@ -5,10 +5,14 @@ pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-
+import fhirtwin
 from fhirtwin.cli import main
 from fhirtwin.evaluation import (
     interoperability_score,
@@ -335,6 +339,41 @@ def test_criterion_6_byte_identical_runs(tables_dir, tmp_path):
     for name in first:
         assert first[name] == second[name], name
     report(6, f"two full runs produced {len(first)} byte-identical files")
+
+
+def test_criterion_6_byte_identical_across_hash_seeds(tables_dir, tmp_path):
+    """Runs in one process share one string-hash salt, so only separate
+    processes with different ``PYTHONHASHSEED`` can show output that follows
+    set or dict order of hashed keys."""
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from test_acceptance import _full_run\n"
+        "_full_run(Path(sys.argv[1]), Path(sys.argv[2]))\n"
+    )
+    # The package as this test imports it, and this directory for _full_run.
+    paths = [str(Path(fhirtwin.__file__).parents[1]), str(Path(__file__).parent)]
+    runs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+        root = tmp_path / f"seed{seed}"
+        subprocess.run(
+            [sys.executable, "-c", script, str(tables_dir), str(root)],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        runs[seed] = {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file()
+        }
+    assert runs["0"].keys() == runs["1"].keys()
+    assert len(runs["0"]) > 10
+    for name in runs["0"]:
+        assert runs["0"][name] == runs["1"][name], name
+    report(6, f"{len(runs['0'])} files byte-identical under PYTHONHASHSEED 0 and 1")
 
 
 # ---------------------------------------------------------------------------

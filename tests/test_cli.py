@@ -582,6 +582,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         ({}, None, "{config}: No such file or directory"),
         ({}, "colour = red\n", "{config}: unknown config key 'colour'"),
         ({}, "seed = x\n", "{config}: seed: invalid literal for int()"),
+        ({}, "max_ngram = -3\n", "{config}: max_ngram: -3 is below 1"),
         ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
         (
             {"d.csv": "hypertension,SNOMED,38341003\n"},
@@ -609,6 +610,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "config_missing",
         "config_unknown_key",
         "config_bad_int",
+        "config_max_ngram_below_1",
         "dictionary_missing",
         "dictionary_bad_row",
         "synonym_to_itself",

@@ -5,7 +5,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.fhir_assembly import (
@@ -16,6 +16,7 @@ from fhirtwin.fhir_assembly import (
     ReadOnlyDict,
     ReadOnlyList,
     Severity,
+    TwinBundle,
     assemble,
     build_patient,
     bundle,
@@ -30,7 +31,7 @@ from fhirtwin.ner import ClinicalNote
 from fhirtwin.terminology import CodeSystem
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
-from oracles import oracle_validate
+from oracles import bundle_to_dict, oracle_validate
 
 
 def annotate(pipeline, text, note_id="n1", patient_id="p1", timestamp="2023-03-01T08:30:00Z"):
@@ -369,6 +370,40 @@ def shared_blocks(draw):
 @given(shared_blocks())
 def test_to_json_renders_shared_blocks_like_stdlib(value):
     assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@st.composite
+def twin_bundles(draw):
+    """Bundles of any text whose entries share read-only blocks at several
+    depths and may hold ``resourceType`` or ``id`` among their fields."""
+    blocks = draw(st.lists(json_values.map(read_only), min_size=1, max_size=3))
+    blocks.append(read_only({"inner": [blocks[0]], "again": blocks[0]}))
+    block = st.sampled_from(blocks)
+    value = st.one_of(
+        json_values,
+        block,
+        st.lists(block, max_size=3),
+        st.builds(lambda b: {"nested": [{"deeper": b}]}, block),
+    )
+    key = st.one_of(st.sampled_from(["resourceType", "id", "code"]), json_text)
+    resource = st.builds(
+        FhirResource,
+        resource_type=json_text,
+        id=json_text,
+        fields=st.dictionaries(key, value, max_size=5),
+    )
+    entries = draw(st.lists(resource, max_size=4))
+    return TwinBundle(tuple(entries), bundle_type=draw(json_text))
+
+
+@settings(max_examples=100)
+@given(twin_bundles())
+@example(TwinBundle(()))
+@example(TwinBundle((FhirResource("Condition", "c1", {"id": "x", "resourceType": 5}),)))
+def test_bundle_to_json_matches_the_dict_oracle(twin):
+    expected = to_json(bundle_to_dict(twin))
+    assert bundle_to_json(twin) == expected
+    assert expected == json.dumps(bundle_to_dict(twin), indent=2) + "\n"
 
 
 def _writes(block):

@@ -255,10 +255,13 @@ candidate_strategy = st.builds(
 @settings(max_examples=300)
 @given(st.lists(candidate_strategy, min_size=1, max_size=30))
 def test_resolve_overlaps_matches_quadratic_reference(candidates):
-    ranked = [(start, end, _ETYPE_PRIORITY[etype]) for start, end, etype in candidates]
+    ranked = [
+        (start - end, start, _ETYPE_PRIORITY[etype], end, 0)
+        for start, end, etype in candidates
+    ]
     resolved = [
         (start, end, _ETYPE_BY_PRIORITY[priority])
-        for start, end, priority in _resolve_overlaps(ranked)
+        for _, start, priority, end, _ in _resolve_overlaps(ranked)
     ]
     assert resolved == oracle_resolve_overlaps(candidates)
 
@@ -276,10 +279,11 @@ def test_containing_sentence_matches_linear_scan(text):
     """Every non-empty span, including those crossing or touching a boundary."""
     sentences = segment(text)
     starts = [s.start for s in sentences]
+    ends = [s.end for s in sentences]
     for start in range(len(text) + 1):
         for end in range(start + 1, len(text) + 2):
             assert _containing_sentence(
-                sentences, starts, start, end
+                starts, ends, start, end
             ) == oracle_containing_sentence(sentences, start, end), (start, end)
 
 

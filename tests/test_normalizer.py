@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhirtwin.ner import ClinicalNote, EntityMention, extract_entities
 from fhirtwin.normalizer import (
@@ -11,7 +13,9 @@ from fhirtwin.normalizer import (
     split_observation_text,
 )
 from fhirtwin.terminology import (
+    CODEABLE_TYPES,
     CodeSystem,
+    ConceptEntry,
     EntityType,
     TerminologyIndex,
     load_dictionary,
@@ -176,3 +180,36 @@ def test_per_mention_results_ignore_siblings(index):
 )
 def test_split_observation_text(text, name, value):
     assert split_observation_text(text) == (name, value)
+
+
+# One surface under three entity types, reachable through a synonym too.
+_SHARED_SURFACE_INDEX = TerminologyIndex(
+    entries={
+        "cold": (
+            ConceptEntry("cold", CodeSystem.SNOMED, "1001", "Cold", EntityType.CONDITION),
+            ConceptEntry("cold", CodeSystem.LOINC, "1002-3", "Cold", EntityType.OBSERVATION),
+            ConceptEntry("cold", CodeSystem.RXNORM, "1003", "Cold", EntityType.MEDICATION),
+        ),
+    },
+    synonym_map={"chill": "cold"},
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["cold", "Cold", "chill", "cold 37 c", "flu"]),
+            st.sampled_from(list(EntityType)),
+        ),
+        max_size=12,
+    )
+)
+def test_normalize_all_equals_normalize_per_mention(drawn):
+    mentions = [mention(text, etype, start=10 * i) for i, (text, etype) in enumerate(drawn)]
+    annotated = normalize_all(mentions, _SHARED_SURFACE_INDEX)
+    assert [a.mention for a in annotated] == mentions
+    assert [a.concept for a in annotated] == [
+        normalize(m, _SHARED_SURFACE_INDEX) if m.etype in CODEABLE_TYPES else None
+        for m in mentions
+    ]

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
-from fhirtwin.fhir_assembly import bundle_to_json
-from fhirtwin.ner import ClinicalNote
+from fhirtwin import ner
+from fhirtwin.fhir_assembly import FhirResource, Severity, ValidationIssue, bundle_to_json
+from fhirtwin.ner import ClinicalNote, EntityMention, Sentence
+from fhirtwin.normalizer import AnnotatedMention, NormalizedConcept
 from fhirtwin.pipeline import (
     TIMESTAMP_ENV_VAR,
     Pipeline,
     build_config,
     load_config_file,
 )
+from fhirtwin.relations import Relation, RelationType
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
+from fhirtwin.terminology import CodeSystem, EntityType
 
 from conftest import TABLE3_TEXT
 
@@ -91,6 +96,33 @@ def test_naive_mapping_disables_normalization_and_relations(config):
     assert naive.relations == ()
 
 
+@pytest.mark.parametrize(
+    "flags, calls",
+    [
+        ({}, 2),
+        ({"disable_relations": True}, 1),
+        ({"naive_mapping": True}, 1),
+        ({"disable_normalization": True}, 2),
+    ],
+)
+def test_notes_are_segmented_again_only_for_relations(config, monkeypatch, flags, calls):
+    pipeline = Pipeline(dataclasses.replace(config, **flags))
+    segment = ner.segment
+    texts = []
+
+    def counting_segment(text):
+        texts.append(text)
+        return segment(text)
+
+    monkeypatch.setattr(ner, "segment", counting_segment)
+    notes = [
+        ClinicalNote("n1", "p1", None, TABLE3_TEXT),
+        ClinicalNote("n2", "p1", None, "Patient has diabetes."),
+    ]
+    pipeline.twin("p1", notes)
+    assert texts == [note.text for note in notes for _ in range(calls)]
+
+
 def test_twin_bundles_have_exactly_one_patient(pipeline):
     note = ClinicalNote("n1", "p1", "2023-01-01T00:00:00Z", TABLE3_TEXT)
     twin, _, _ = pipeline.twin("p1", [note])
@@ -135,3 +167,36 @@ def test_warm_pipeline_twins_like_a_cold_one(config, tables_dir):
         cold, _, _ = Pipeline(config).twin(note.patient_id, [note])
         again, _, _ = warm.twin(note.patient_id, [note])
         assert bundle_to_json(again) == bundle_to_json(cold), note.note_id
+
+
+_MENTION = EntityMention("n1:0-3", "n1", 0, 3, "flu", EntityType.CONDITION, 0)
+_CONCEPT = NormalizedConcept(CodeSystem.SNOMED, "6142004", "Influenza", 1.0)
+
+
+@pytest.mark.parametrize(
+    "record, field, other",
+    [
+        (Sentence(0, 10, 0), "end", 12),
+        (_MENTION, "text", "flu!"),
+        (_CONCEPT, "score", 0.9),
+        (AnnotatedMention(_MENTION, _CONCEPT), "concept", None),
+        (Relation(RelationType.HAS_DOSAGE, "n1:0-3", "n1:4-8"), "tail", "n1:9-12"),
+        (ValidationIssue("r1", "C1", Severity.ERROR, "no coding"), "rule", "C2"),
+        (FhirResource("Condition", "r1", {"code": {"text": "flu"}}), "id", "r2"),
+    ],
+    ids=lambda value: type(value).__name__ if dataclasses.is_dataclass(value) else None,
+)
+def test_per_note_records_are_slotted_and_frozen(record, field, other):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, other)
+    same = dataclasses.replace(record)
+    changed = dataclasses.replace(record, **{field: other})
+    assert same == record and same is not record
+    assert changed != record and getattr(changed, field) == other
+    assert pickle.loads(pickle.dumps(record)) == record
+    if isinstance(record, FhirResource):  # its fields dict is unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(same) == hash(record)

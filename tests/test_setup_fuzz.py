@@ -4,10 +4,10 @@ Each example copies the bundled dictionary, synonyms, patterns, cues and
 templates next to a ``--config`` file that names them, then breaks one line
 of one of those six files: a wrong column count, an unknown code system or
 entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a
-synonym that points at itself or at another alias, or a seed that is not a
-number. Every command must then return 1, print exactly one
-``error: <that file>...`` line, show no traceback and create no output
-directory.
+synonym that points at itself or at another alias, a seed that is not a
+number, or a ``max_ngram`` below 1. Every command must then return 1,
+print exactly one ``error: <that file>...`` line, show no traceback and
+create no output directory.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ BREAKS = {
     "patterns.tsv": ("columns", "etype", "regex"),
     "cues.txt": (),
     "templates.tsv": ("columns",),
-    CONFIG: ("columns", "seed"),
+    CONFIG: ("columns", "seed", "max_ngram"),
 }
 COLUMNS = {
     "terminology.csv": (",", 5),
@@ -53,6 +53,8 @@ BAD_ETYPES = ("DRUG", "", "CONDITIONS")
 UNCODEABLE_ETYPES = ("DOSAGE", "TEMPORAL")
 BAD_REGEXES = ("(", "[a-", "*x", "(?P<x", "a{2,1}", "\\")
 BAD_SEEDS = ("x", "1.5", "", "thirteen", "0x1")
+#: Below 1, n-gram matching would find no dictionary mention at all.
+BAD_MAX_NGRAMS = ("0", "-1", "-3", "-100")
 
 
 def write_setup(root: Path) -> Path:
@@ -60,7 +62,8 @@ def write_setup(root: Path) -> Path:
     data = default_data_dir()
     for name in DATA_FILES.values():
         (root / name).write_bytes((data / name).read_bytes())
-    lines = [f"{key} = {name}" for key, name in DATA_FILES.items()] + ["seed = 13"]
+    lines = [f"{key} = {name}" for key, name in DATA_FILES.items()]
+    lines += ["seed = 13", "max_ngram = 6"]
     (root / CONFIG).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return root / CONFIG
 
@@ -81,6 +84,8 @@ def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
         return sep.join(cells + ["extra"]) if extra else sep.join(cells[: count - 1])
     if how == "seed":
         return f"seed = {data.draw(st.sampled_from(BAD_SEEDS))}"
+    if how == "max_ngram":
+        return f"max_ngram = {data.draw(st.sampled_from(BAD_MAX_NGRAMS))}"
     if how == "system":
         cells[1] = data.draw(st.sampled_from(BAD_SYSTEMS))
     elif how == "etype" and name == "terminology.csv":
@@ -116,8 +121,8 @@ def break_one_line(root: Path, data) -> Path:
         return path
     lines = path.read_text(encoding="utf-8").split("\n")
     numbers = data_line_numbers(lines)
-    if how == "seed":
-        numbers = [i for i in numbers if lines[i].startswith("seed")]
+    if how in ("seed", "max_ngram"):
+        numbers = [i for i in numbers if lines[i].startswith(how)]
     i = data.draw(st.sampled_from(numbers))
     lines[i] = broken_line(name, lines[i], how, lines, data)
     path.write_text("\n".join(lines), encoding="utf-8")
