@@ -17,7 +17,6 @@ from fhirtwin.terminology import (
     CodeSystem,
     EntityType,
     TerminologyIndex,
-    load_dictionary,
     load_terminology,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "CodeSystem",
     "EntityType",
     "TerminologyIndex",
-    "load_dictionary",
     "load_terminology",
     "__version__",
 ]

@@ -2,9 +2,10 @@
 
 These are the two hot functions behind dictionary entity extraction.
 
-Token rule: a character belongs to a token when it is alphanumeric, or
-when it is ``/`` or ``.`` with digits on both sides (keeping ``145/92``
-and ``2.5mg`` whole). Everything else separates tokens.
+Token rule: a token is a run of alphanumeric characters, joined across a
+``/`` or ``.`` that has decimal digits (``str.isdecimal``) on both sides:
+``145/92`` and ``2.5mg`` are one token each, ``4²/2`` is ``4²`` and ``2``.
+Everything else separates tokens. One regex scans for them.
 
 Dictionary keys are normalized the same way terminology lookup normalizes
 queries: case-fold the verbatim slice and collapse whitespace runs. The
@@ -24,6 +25,10 @@ from weakref import ref
 #: the characters ``str.isspace`` accepts.
 _WHITESPACE = re.compile(r"\s+")
 
+#: The token rule: ``[^\W_]`` matches exactly what ``str.isalnum`` accepts,
+#: and ``\d`` what ``str.isdecimal`` accepts.
+_TOKEN = re.compile(r"[^\W_]+(?:[./](?<=\d[./])(?=\d)[^\W_]+)*")
+
 #: id(key set) -> (weak reference to that set, its prefix set). Keyed by
 #: identity because comparing two large sets for equality is O(size); the
 #: entry is dropped when its key set is freed, so a discarded dictionary
@@ -33,29 +38,7 @@ _PREFIXES: dict[int, tuple[ref, frozenset[str]]] = {}
 
 def token_spans(text: str) -> list[tuple[int, int]]:
     """Return (start, end) offsets of every token in ``text``."""
-    spans: list[tuple[int, int]] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        is_token_char = ch.isalnum() or (
-            ch in "/." and 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit()
-        )
-        if not is_token_char:
-            i += 1
-            continue
-        start = i
-        i += 1
-        while i < n:
-            ch = text[i]
-            if ch.isalnum():
-                i += 1
-            elif ch in "/." and i + 1 < n and text[i - 1].isdigit() and text[i + 1].isdigit():
-                i += 1
-            else:
-                break
-        spans.append((start, i))
-    return spans
+    return [match.span() for match in _TOKEN.finditer(text)]
 
 
 def key_prefixes(keys: frozenset[str] | set[str]) -> frozenset[str]:

@@ -5,7 +5,7 @@ progress and per-note counters are logged to standard error. Every
 command is idempotent over its output directory: re-running with the
 same inputs, config and seed rewrites identical bytes.
 
-Exit codes: 0 ok, 1 bad setup, 2 bad split ratios or corpus, 3 a partial
+Exit codes: 0 ok, 1 bad setup, 2 a bad ``evaluate`` corpus, 3 a partial
 ``synthesize``/``extract``/``twin`` run. Input JSON is read through
 ``_read_json`` only.
 """
@@ -34,7 +34,6 @@ from fhirtwin.ner import ClinicalNote
 from fhirtwin.pipeline import NoteAnnotation, Pipeline, PipelineConfig, build_config
 from fhirtwin.relations import RelationType
 from fhirtwin.synthesizer import (
-    BadRatiosError,
     TemplateSet,
     UnresolvableRecordError,
     load_records,
@@ -303,11 +302,7 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
         except UnresolvableRecordError as exc:
             logger.warning("skipping patient %s: %s", record.patient_id, exc)
             skipped += 1
-    try:
-        train, val, test = split_corpus(cases, config.split_ratios, config.seed)
-    except BadRatiosError as exc:
-        logger.error("%s", exc)
-        return 2
+    train, val, test = split_corpus(cases, config.split_ratios, config.seed)
 
     split_of = {}
     for name, bucket in (("train", train), ("validation", val), ("test", test)):

@@ -283,10 +283,8 @@ def interoperability_score(generated: TwinBundle, reference: TwinBundle) -> floa
         return 0.0
     pairs = match_resources(gen_resources, ref_resources)
     matched = len(pairs)
-    precision = matched / len(gen_resources)
-    recall = matched / len(ref_resources)
-    f1_match = (
-        2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    _, _, f1_match = _prf(
+        matched, len(gen_resources) - matched, len(ref_resources) - matched
     )
     if pairs:
         mean_agreement = sum(

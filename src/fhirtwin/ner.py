@@ -6,6 +6,8 @@ with inline values, and temporal expressions. Everything here is a pure
 function of its inputs, so notes can be processed in parallel against a
 shared read-only index.
 
+``segment`` and ``token_spans`` scan the text with one regex each.
+
 ``extract_entities`` makes one tuple per candidate,
 ``(start - end, start, priority, end, sentence index)``, whose natural
 order is the overlap ranking, and gives it its sentence as it is made, so
@@ -52,7 +54,8 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINATORS = ".!?"
+#: A sentence break: a newline, or a run of terminators.
+_BREAK = re.compile(r"\n|[.!?]+")
 
 #: Overlap tie-break priority (lower wins) when spans have equal length.
 _ETYPE_PRIORITY = {
@@ -163,38 +166,29 @@ def segment(text: str) -> list[Sentence]:
     Periods inside numbers and after known abbreviations do not split.
     Terminator punctuation stays inside its sentence; surrounding
     whitespace does not. Empty segments are dropped.
-    """
-    boundaries: list[int] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            boundaries.append(i)
-            i += 1
-        elif ch in _TERMINATORS:
-            if ch == "." and _guarded_period(text, i):
-                i += 1
-                continue
-            while i < n and text[i] in _TERMINATORS:
-                i += 1
-            boundaries.append(i)
-        else:
-            i += 1
 
+    A break that starts with a guarded period is searched for again from
+    the next character, so the rest of its run can still split (``mg.!``).
+    A newline right after a run of terminators makes a blank segment.
+    """
     sentences: list[Sentence] = []
-    seg_start = 0
-    for boundary in boundaries + [n]:
-        if boundary < seg_start:
+    n = len(text)
+    start = pos = 0
+    while start < n:
+        match = _BREAK.search(text, pos)
+        if match is None:
+            end = n
+        elif text[match.start()] == "." and _guarded_period(text, match.start()):
+            pos = match.start() + 1
             continue
-        chunk = text[seg_start:boundary]
+        else:
+            end = match.end()
+        chunk = text[start:end]
         left = len(chunk) - len(chunk.lstrip())
         right = len(chunk.rstrip())
         if right > left:
-            sentences.append(
-                Sentence(seg_start + left, seg_start + right, len(sentences))
-            )
-        seg_start = boundary + 1 if boundary < n and text[boundary] == "\n" else boundary
+            sentences.append(Sentence(start + left, start + right, len(sentences)))
+        start = pos = end
     return sentences
 
 

@@ -75,18 +75,36 @@ class PipelineConfig:
         )
 
 
+class BadRatiosError(Exception):
+    """Split ratios must be three non-negative numbers summing to 1."""
+
+
+def check_ratios(ratios: Sequence[float]) -> None:
+    """Raise ``BadRatiosError`` unless ``ratios`` are three non-negative
+    numbers summing to 1. Stated positively, so that a NaN fails."""
+    if not (len(ratios) == 3 and min(ratios) >= 0 and abs(sum(ratios) - 1) <= 1e-9):
+        raise BadRatiosError(f"ratios {tuple(ratios)!r} must be non-negative and sum to 1")
+
+
 _BOOL_KEYS = (
     "disable_normalization",
     "disable_relations",
     "disable_validation",
     "naive_mapping",
 )
+#: The spellings a boolean config value may take, in any case.
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+_RATIO_KEYS = ("train_ratio", "validation_ratio", "test_ratio")
 
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file into a raw mapping.
 
-    Relative paths are resolved against the config file's directory.
+    Relative paths are resolved against the config file's directory, and
+    the ``*_ratio`` keys come back as one checked ``split_ratios`` triple.
     """
     path = Path(path)
     base = path.parent
@@ -111,7 +129,7 @@ def load_config_file(path: str | Path) -> dict:
             parsed[key] = respath(value)
         elif key == "out":
             parsed["out_dir"] = respath(value)
-        elif key in ("seed", "max_ngram", "train_ratio", "validation_ratio", "test_ratio"):
+        elif key in ("seed", "max_ngram", *_RATIO_KEYS):
             number = float if key.endswith("_ratio") else int
             try:
                 parsed[key] = number(value)
@@ -123,9 +141,24 @@ def load_config_file(path: str | Path) -> dict:
         elif key in ("default_timestamp", "placeholder_dosage"):
             parsed[key] = value
         elif key in _BOOL_KEYS:
-            parsed[key] = value.lower() in ("1", "true", "yes", "on")
+            try:
+                parsed[key] = _BOOLS[value.lower()]
+            except KeyError:
+                raise ValueError(
+                    f"{path}: {key}: {value!r} is not 1/0, true/false, yes/no or on/off"
+                ) from None
         else:
             raise ValueError(f"{path}: unknown config key {key!r}")
+    if any(key in parsed for key in _RATIO_KEYS):
+        ratios = tuple(
+            parsed.pop(key, default)
+            for key, default in zip(_RATIO_KEYS, PipelineConfig.split_ratios)
+        )
+        try:
+            check_ratios(ratios)
+        except BadRatiosError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        parsed["split_ratios"] = ratios
     return parsed
 
 
@@ -136,11 +169,6 @@ def build_config(
     values: dict = {}
     if config_path is not None:
         values.update(load_config_file(config_path))
-    ratios = list(PipelineConfig.split_ratios)
-    for i, key in enumerate(("train_ratio", "validation_ratio", "test_ratio")):
-        if key in values:
-            ratios[i] = values.pop(key)
-    values["split_ratios"] = tuple(ratios)
     env_timestamp = os.environ.get(TIMESTAMP_ENV_VAR)
     if env_timestamp:
         values["default_timestamp"] = env_timestamp

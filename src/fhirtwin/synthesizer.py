@@ -25,6 +25,7 @@ from fhirtwin.evaluation import GoldAnnotations, GoldMention, GoldRelation
 from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP, TwinBundle
 from fhirtwin.ner import ClinicalNote
 from fhirtwin.normalizer import normalize_key
+from fhirtwin.pipeline import check_ratios
 from fhirtwin.relations import RelationType
 from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
 
@@ -33,10 +34,6 @@ logger = logging.getLogger(__name__)
 
 class UnresolvableRecordError(Exception):
     """No item in the record resolves against the terminology index."""
-
-
-class BadRatiosError(Exception):
-    """Split ratios must be three non-negative numbers summing to 1."""
 
 
 @dataclass(frozen=True)
@@ -431,10 +428,10 @@ def split_corpus(
     Patients are ordered by a seeded hash of their id and sliced by the
     largest-remainder bucket counts, so every run with the same seed puts
     every case in the same partition and bucket sizes stay within one of
-    the exact ratios.
+    the exact ratios. Ratios that ``check_ratios`` rejects raise
+    ``BadRatiosError``.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1) > 1e-9:
-        raise BadRatiosError(f"ratios {ratios!r} must be non-negative and sum to 1")
+    check_ratios(ratios)
 
     patients = sorted({case.note.patient_id for case in cases})
     ordered = sorted(

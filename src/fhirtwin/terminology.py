@@ -248,11 +248,6 @@ def _dictionary_rows(path: Path) -> Iterator[ConceptEntry]:
         yield ConceptEntry(surface, system, code, display, entity_type)
 
 
-def load_dictionary(path: str | Path) -> TerminologyIndex:
-    """Load one dictionary file into a fresh index: ``load_terminology([path])``."""
-    return load_terminology([path])
-
-
 def load_synonyms(path: str | Path) -> dict[str, str]:
     """Load a two-column alias,canonical file into a normalized mapping.
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
+from fhirtwin.ner import ABBREVIATIONS
 from fhirtwin.pipeline import Pipeline, build_config, default_data_dir
 
 TABLE3_TEXT = (
@@ -9,6 +11,20 @@ TABLE3_TEXT = (
     "BP 145/92. Started Lisinopril 10mg daily."
 )
 FIG1_TEXT = "Patient has diabetes. Started Metformin 500mg twice daily."
+
+#: Text for the sentence and token scanners: any character, mixed with
+#: terminators, joiners, the underscore (a word character that
+#: ``str.isalnum`` rejects), decimal digits (ASCII and Arabic-Indic), digits
+#: that are not decimals (superscript, circled) and the abbreviations.
+scanner_text = st.lists(
+    st.one_of(
+        st.sampled_from(
+            list("./!?\n _09٣٥²①") + sorted(ABBREVIATIONS)
+        ),
+        st.characters(),
+    ),
+    max_size=40,
+).map("".join)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,12 @@ the library reads them from its profile table. The extraction oracles are
 the straightforward quadratic scans that the library replaced with
 sorted-interval lookups: each candidate against every accepted span, each
 span against every sentence, each dosage or cue against every mention of
-its sentence. The whitespace oracle is the per-character loop the matcher
-replaced with one regex. The lookup oracles resolve every query afresh from the
+its sentence. The whitespace, token and sentence oracles are the
+per-character loops that the library replaced with one regex each:
+``oracle_collapse_whitespace``, ``oracle_token_spans`` (which joins runs
+across ``.`` or ``/`` only between ``str.isdecimal`` digits) and
+``oracle_segment`` (which shares the library's period guard and its
+``Sentence`` record). The lookup oracles resolve every query afresh from the
 index's two maps, where the library memoises each hit on the index. The
 bundle oracle builds the plain dict document that ``to_json`` renders,
 where the library writes each entry straight from its resource. They
@@ -24,7 +28,7 @@ import itertools
 import re
 
 from fhirtwin.fhir_assembly import FhirResource, TwinBundle
-from fhirtwin.ner import _ETYPE_PRIORITY
+from fhirtwin.ner import _ETYPE_PRIORITY, Sentence, _guarded_period
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.terminology import SYSTEM_PRECEDENCE, EntityType, normalize_surface
@@ -193,6 +197,72 @@ def oracle_collapse_whitespace(text):
             parts.append(text[i])
             i += 1
     return "".join(parts)
+
+
+def oracle_token_spans(text):
+    """Token offsets, one character at a time: an alphanumeric run, joined
+    across a ``.`` or ``/`` that has decimal digits on both sides."""
+    spans = []
+    n = len(text)
+    i = 0
+    while i < n:
+        if not text[i].isalnum():
+            i += 1
+            continue
+        start = i
+        i += 1
+        while i < n:
+            ch = text[i]
+            if ch.isalnum():
+                i += 1
+            elif (
+                ch in "/."
+                and i + 1 < n
+                and text[i - 1].isdecimal()
+                and text[i + 1].isdecimal()
+            ):
+                i += 1
+            else:
+                break
+        spans.append((start, i))
+    return spans
+
+
+def oracle_segment(text):
+    """Sentences found one character at a time: every boundary first, then
+    one strip pass over the chunks between them."""
+    boundaries = []
+    n = len(text)
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            boundaries.append(i)
+            i += 1
+        elif ch in ".!?":
+            if ch == "." and _guarded_period(text, i):
+                i += 1
+                continue
+            while i < n and text[i] in ".!?":
+                i += 1
+            boundaries.append(i)
+        else:
+            i += 1
+
+    sentences = []
+    seg_start = 0
+    for boundary in boundaries + [n]:
+        if boundary < seg_start:
+            continue
+        chunk = text[seg_start:boundary]
+        left = len(chunk) - len(chunk.lstrip())
+        right = len(chunk.rstrip())
+        if right > left:
+            sentences.append(
+                Sentence(seg_start + left, seg_start + right, len(sentences))
+            )
+        seg_start = boundary + 1 if boundary < n and text[boundary] == "\n" else boundary
+    return sentences
 
 
 def oracle_containing_sentence(sentences, start, end):

@@ -53,25 +53,6 @@ def test_synthesize_without_labevents(tables_dir, tmp_path, caplog):
         assert "Observation" not in types
 
 
-def test_synthesize_bad_ratios_exits_2(tables_dir, tmp_path):
-    config = tmp_path / "fhirtwin.conf"
-    config.write_text(
-        "train_ratio = 0.5\nvalidation_ratio = 0.2\ntest_ratio = 0.2\n",
-        encoding="utf-8",
-    )
-    code = main(
-        [
-            "synthesize",
-            str(tables_dir),
-            "--out",
-            str(tmp_path / "x"),
-            "--config",
-            str(config),
-        ]
-    )
-    assert code == 2
-
-
 def test_synthesize_missing_tables_dir(tmp_path):
     assert main(["synthesize", str(tmp_path / "nope"), "--out", str(tmp_path / "x")]) == 1
 
@@ -583,6 +564,21 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         ({}, "colour = red\n", "{config}: unknown config key 'colour'"),
         ({}, "seed = x\n", "{config}: seed: invalid literal for int()"),
         ({}, "max_ngram = -3\n", "{config}: max_ngram: -3 is below 1"),
+        (
+            {},
+            "train_ratio = 0.5\nvalidation_ratio = 0.2\ntest_ratio = 0.2\n",
+            "{config}: ratios (0.5, 0.2, 0.2) must be non-negative and sum to 1",
+        ),
+        (
+            {},
+            "train_ratio = -1\nvalidation_ratio = 0.5\ntest_ratio = 0.5\n",
+            "{config}: ratios (-1.0, 0.5, 0.5) must be non-negative and sum to 1",
+        ),
+        (
+            {},
+            "disable_relations = ture\n",
+            "{config}: disable_relations: 'ture' is not 1/0, true/false",
+        ),
         ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
         (
             {"d.csv": "hypertension,SNOMED,38341003\n"},
@@ -611,6 +607,9 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "config_unknown_key",
         "config_bad_int",
         "config_max_ngram_below_1",
+        "config_ratios_not_summing_to_1",
+        "config_negative_ratio",
+        "config_bad_bool",
         "dictionary_missing",
         "dictionary_bad_row",
         "synonym_to_itself",

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from fhirtwin._match import pymatch
 from fhirtwin.ner import ClinicalNote, PatternSet, extract_entities
-from fhirtwin.terminology import load_dictionary
+from fhirtwin.terminology import load_terminology
 
-from conftest import write_dictionary
-from oracles import oracle_collapse_whitespace
+from conftest import scanner_text, write_dictionary
+from oracles import oracle_collapse_whitespace, oracle_token_spans
 
 
 def tokens(text):
@@ -41,6 +41,23 @@ def test_empty_and_whitespace():
 
 def test_trailing_dot_not_inside_number():
     assert tokens("value 2.5.") == ["value", "2.5"]
+
+
+def test_only_decimal_digits_join_across_a_dot_or_slash():
+    assert tokens("4²/2") == ["4²", "2"]
+    assert tokens("3①.2") == ["3①", "2"]
+    assert tokens("٣.٥") == ["٣.٥"]
+
+
+@settings(max_examples=500)
+@example("4²/2")
+@example("3①.2")
+@example("٣.٥")
+@example("2.5e.g.\n")
+@example("Take 500 mg. b.i.d. as needed.")
+@given(scanner_text)
+def test_token_spans_match_the_per_character_loop(text):
+    assert pymatch.token_spans(text) == oracle_token_spans(text)
 
 
 def _normalize(text):
@@ -147,19 +164,23 @@ def test_whitespace_runs_collapse_like_the_isspace_loop(text):
 
 
 def test_indexes_from_different_dictionaries_match_only_their_own_surfaces(tmp_path):
-    conditions = load_dictionary(
-        write_dictionary(
-            tmp_path,
-            ["chronic kidney disease,SNOMED,709044004,Chronic kidney disease,CONDITION"],
-            name="conditions.csv",
-        )
+    conditions = load_terminology(
+        [
+            write_dictionary(
+                tmp_path,
+                ["chronic kidney disease,SNOMED,709044004,Chronic kidney disease,CONDITION"],
+                name="conditions.csv",
+            )
+        ]
     )
-    medications = load_dictionary(
-        write_dictionary(
-            tmp_path,
-            ["lisinopril,RXNORM,29046,Lisinopril,MEDICATION"],
-            name="medications.csv",
-        )
+    medications = load_terminology(
+        [
+            write_dictionary(
+                tmp_path,
+                ["lisinopril,RXNORM,29046,Lisinopril,MEDICATION"],
+                name="medications.csv",
+            )
+        ]
     )
     note = ClinicalNote("n1", "p1", None, "Chronic kidney disease; started lisinopril.")
     no_patterns = PatternSet(())

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.ner import (
@@ -14,10 +14,14 @@ from fhirtwin.ner import (
     load_patterns,
     segment,
 )
-from fhirtwin.terminology import EntityType, load_dictionary
+from fhirtwin.terminology import EntityType, load_terminology
 
-from conftest import FIG1_TEXT, TABLE3_TEXT, write_dictionary
-from oracles import oracle_containing_sentence, oracle_resolve_overlaps
+from conftest import FIG1_TEXT, TABLE3_TEXT, scanner_text, write_dictionary
+from oracles import (
+    oracle_containing_sentence,
+    oracle_resolve_overlaps,
+    oracle_segment,
+)
 
 
 def note(text, note_id="n1", patient_id="p1"):
@@ -70,6 +74,18 @@ def test_segment_newlines_split():
 
 def test_segment_exclamation_and_question():
     assert len(segment("Improving! Continue plan? Yes.")) == 3
+
+
+@settings(max_examples=500)
+@example("4²/2")
+@example("3①.2")
+@example("٣.٥")
+@example("2.5e.g.\n")
+@example("Take 500 mg. b.i.d. as needed.")
+@example("Take 5 mg.! Then rest.\n\nDone")
+@given(scanner_text)
+def test_segment_matches_the_per_character_loop(text):
+    assert segment(text) == oracle_segment(text)
 
 
 def test_sentences_ordered_and_disjoint():
@@ -139,7 +155,7 @@ def test_longest_match_beats_fragment(tmp_path, patterns):
         "diabetes,SNOMED,73211009,Diabetes mellitus,CONDITION",
         "type 2 diabetes,SNOMED,44054006,Diabetes mellitus type 2,CONDITION",
     ]
-    index = load_dictionary(write_dictionary(tmp_path, rows))
+    index = load_terminology([write_dictionary(tmp_path, rows)])
     text = "Patient has type 2 diabetes."
     mentions = extract_entities(note(text), index, patterns)
     assert [m.text for m in mentions] == ["type 2 diabetes"]
@@ -180,12 +196,10 @@ def test_monotonic_under_dictionary_growth(tmp_path, patterns):
     base_rows = ["hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION"]
     grown_rows = base_rows + ["edema,SNOMED,267038008,Edema,CONDITION"]
     text = "Patient has hypertension and edema."
-    base = extract_entities(
-        note(text), load_dictionary(write_dictionary(tmp_path, base_rows, "a.csv")), patterns
-    )
-    grown = extract_entities(
-        note(text), load_dictionary(write_dictionary(tmp_path, grown_rows, "b.csv")), patterns
-    )
+    base_index = load_terminology([write_dictionary(tmp_path, base_rows, "a.csv")])
+    grown_index = load_terminology([write_dictionary(tmp_path, grown_rows, "b.csv")])
+    base = extract_entities(note(text), base_index, patterns)
+    grown = extract_entities(note(text), grown_index, patterns)
     base_spans = {(m.start, m.end, m.etype) for m in base}
     grown_spans = {(m.start, m.end, m.etype) for m in grown}
     assert base_spans <= grown_spans

@@ -18,7 +18,7 @@ from fhirtwin.terminology import (
     ConceptEntry,
     EntityType,
     TerminologyIndex,
-    load_dictionary,
+    load_terminology,
 )
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, write_dictionary
@@ -100,7 +100,7 @@ def test_equal_candidates_pick_smaller_code(tmp_path):
     ]
     rows_b = list(reversed(rows_a))
     for name, rows in (("a.csv", rows_a), ("b.csv", rows_b)):
-        index = load_dictionary(write_dictionary(tmp_path, rows, name))
+        index = load_terminology([write_dictionary(tmp_path, rows, name)])
         concept = normalize(mention("twin condition", EntityType.CONDITION), index)
         assert concept.code == "1111"
 

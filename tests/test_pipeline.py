@@ -51,6 +51,23 @@ def test_config_file_parsing(tmp_path):
     assert config.default_timestamp == "2020-05-05T00:00:00Z"
 
 
+@pytest.mark.parametrize(
+    "value, flag",
+    [("1", True), ("TRUE", True), ("Yes", True), ("oN", True)]
+    + [("0", False), ("False", False), ("NO", False), ("off", False)],
+)
+def test_boolean_config_values_take_eight_spellings_in_any_case(tmp_path, value, flag):
+    conf = tmp_path / "fhirtwin.conf"
+    conf.write_text(f"naive_mapping = {value}\n", encoding="utf-8")
+    assert load_config_file(conf) == {"naive_mapping": flag}
+
+
+def test_config_ratios_left_out_take_their_defaults(tmp_path):
+    conf = tmp_path / "fhirtwin.conf"
+    conf.write_text("train_ratio = 0.7\ntest_ratio = 0.15\n", encoding="utf-8")
+    assert load_config_file(conf) == {"split_ratios": (0.7, 0.15, 0.15)}
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("mystery = 1\n", encoding="utf-8")

@@ -5,7 +5,9 @@ templates next to a ``--config`` file that names them, then breaks one line
 of one of those six files: a wrong column count, an unknown code system or
 entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a
 synonym that points at itself or at another alias, a seed that is not a
-number, or a ``max_ngram`` below 1. Every command must then return 1,
+number, a ``max_ngram`` below 1, split ratios that are not three
+non-negative numbers summing to 1, or a boolean that is not one of its
+eight spellings. Every command must then return 1,
 print exactly one ``error: <that file>...`` line, show no traceback and
 create no output directory.
 """
@@ -38,7 +40,7 @@ BREAKS = {
     "patterns.tsv": ("columns", "etype", "regex"),
     "cues.txt": (),
     "templates.tsv": ("columns",),
-    CONFIG: ("columns", "seed", "max_ngram"),
+    CONFIG: ("columns", "seed", "max_ngram", "ratios", "bool"),
 }
 COLUMNS = {
     "terminology.csv": (",", 5),
@@ -55,6 +57,22 @@ BAD_REGEXES = ("(", "[a-", "*x", "(?P<x", "a{2,1}", "\\")
 BAD_SEEDS = ("x", "1.5", "", "thirteen", "0x1")
 #: Below 1, n-gram matching would find no dictionary mention at all.
 BAD_MAX_NGRAMS = ("0", "-1", "-3", "-100")
+#: In place of any one of the default ratios, each breaks the triple.
+BAD_RATIOS = ("-1", "-0.15", "0", "0.5", "1", "nan", "inf", "x")
+BAD_BOOLS = ("ture", "", "2", "y", "enabled", "0.0", "nope")
+BOOL_KEYS = (
+    "disable_normalization",
+    "disable_relations",
+    "disable_validation",
+    "naive_mapping",
+)
+#: A config break: the keys of the lines it may rewrite, and the bad values.
+CONFIG_VALUES = {
+    "seed": (("seed",), BAD_SEEDS),
+    "max_ngram": (("max_ngram",), BAD_MAX_NGRAMS),
+    "ratios": (("train_ratio", "validation_ratio", "test_ratio"), BAD_RATIOS),
+    "bool": (BOOL_KEYS, BAD_BOOLS),
+}
 
 
 def write_setup(root: Path) -> Path:
@@ -63,7 +81,9 @@ def write_setup(root: Path) -> Path:
     for name in DATA_FILES.values():
         (root / name).write_bytes((data / name).read_bytes())
     lines = [f"{key} = {name}" for key, name in DATA_FILES.items()]
-    lines += ["seed = 13", "max_ngram = 6"]
+    lines += ["seed = 13", "max_ngram = 6", "train_ratio = 0.70"]
+    lines += ["validation_ratio = 0.15", "test_ratio = 0.15"]
+    lines += [f"{key} = false" for key in BOOL_KEYS]
     (root / CONFIG).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return root / CONFIG
 
@@ -82,10 +102,9 @@ def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
         # A config value may hold "=", so a config line breaks only by losing it.
         extra = name != CONFIG and data.draw(st.booleans())
         return sep.join(cells + ["extra"]) if extra else sep.join(cells[: count - 1])
-    if how == "seed":
-        return f"seed = {data.draw(st.sampled_from(BAD_SEEDS))}"
-    if how == "max_ngram":
-        return f"max_ngram = {data.draw(st.sampled_from(BAD_MAX_NGRAMS))}"
+    if how in CONFIG_VALUES:
+        key = line.partition("=")[0].strip()
+        return f"{key} = {data.draw(st.sampled_from(CONFIG_VALUES[how][1]))}"
     if how == "system":
         cells[1] = data.draw(st.sampled_from(BAD_SYSTEMS))
     elif how == "etype" and name == "terminology.csv":
@@ -121,8 +140,8 @@ def break_one_line(root: Path, data) -> Path:
         return path
     lines = path.read_text(encoding="utf-8").split("\n")
     numbers = data_line_numbers(lines)
-    if how in ("seed", "max_ngram"):
-        numbers = [i for i in numbers if lines[i].startswith(how)]
+    if how in CONFIG_VALUES:
+        numbers = [i for i in numbers if lines[i].startswith(CONFIG_VALUES[how][0])]
     i = data.draw(st.sampled_from(numbers))
     lines[i] = broken_line(name, lines[i], how, lines, data)
     path.write_text("\n".join(lines), encoding="utf-8")

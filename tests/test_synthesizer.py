@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhirtwin.evaluation import (
     gold_mention_key,
@@ -11,8 +15,8 @@ from fhirtwin.evaluation import (
     relation_keys,
 )
 from fhirtwin.fhir_assembly import Severity, validate
+from fhirtwin.pipeline import BadRatiosError
 from fhirtwin.synthesizer import (
-    BadRatiosError,
     Diagnosis,
     Lab,
     Medication,
@@ -218,6 +222,88 @@ def test_load_records_bad_column_count(tmp_path):
     (tmp_path / "diagnoses.csv").write_text("p1,I10\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_records(tmp_path)
+
+
+#: Each table's header row and the record item its rows become.
+TABLES = {
+    "diagnoses": ("patient_id,code,description", Diagnosis),
+    "prescriptions": ("patient_id,drug,dose,frequency", Medication),
+    "labevents": ("patient_id,test,value,unit,timestamp", Lab),
+}
+#: Cells hold no comma, quote, colon or ``#``, so each reads back as drawn,
+#: stripped.
+cell = st.text(" abXY019.-/%", max_size=6)
+patient_id = st.text("pq012", min_size=1, max_size=3)
+#: Blank and comment lines, which the loader skips wherever they are.
+junk_line = st.sampled_from(["", "# comment", "  # a, b, c", "#,,,"])
+
+
+@st.composite
+def table_file(draw, name):
+    """The lines of one table, and the (patient id, item) of each data row."""
+    header, item_type = TABLES[name]
+    lines = [header] if draw(st.booleans()) else []
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(st.lists(junk_line, max_size=2))
+        pid = draw(patient_id)
+        cells = [draw(cell) for _ in range(header.count(","))]
+        fields = [c.strip() for c in cells]
+        if item_type is Diagnosis:
+            tag = draw(st.sampled_from(["", "ICD10", "SNOMED"]))
+            cells[0] = f"{tag}:{cells[0]}" if tag else cells[0]
+            fields = [tag] + fields
+        lines.append(",".join([pid] + cells))
+        items.append((pid, item_type(*fields)))
+    return lines, items
+
+
+@st.composite
+def table_files(draw):
+    """At least one of the three tables, each as ``table_file`` draws it."""
+    names = draw(st.lists(st.sampled_from(sorted(TABLES)), min_size=1, unique=True))
+    return {name: draw(table_file(name)) for name in names}
+
+
+def write_tables(root: Path, files) -> None:
+    for name, (lines, _) in files.items():
+        (root / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_files())
+def test_load_records_groups_valid_rows_per_patient(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tables(Path(tmp), files)
+        records = load_records(tmp)
+    expected = sorted({pid for _, items in files.values() for pid, _ in items})
+    assert [record.patient_id for record in records] == expected
+    for record in records:
+        for name, got in (
+            ("diagnoses", record.diagnoses),
+            ("prescriptions", record.medications),
+            ("labevents", record.labs),
+        ):
+            items = files.get(name, ((), ()))[1]
+            assert list(got) == [item for pid, item in items if pid == record.patient_id]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_files(), st.data())
+def test_load_records_names_the_line_of_a_row_with_the_wrong_column_count(files, data):
+    name = data.draw(st.sampled_from(sorted(files)))
+    lines, items = files[name]
+    columns = TABLES[name][0].count(",") + 1
+    count = data.draw(st.integers(1, columns + 2).filter(lambda n: n != columns))
+    at = data.draw(st.integers(0, len(lines)))
+    bad_row = ",".join([data.draw(patient_id)] + ["x"] * (count - 1))
+    files = {**files, name: (lines[:at] + [bad_row] + lines[at:], items)}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tables(Path(tmp), files)
+        with pytest.raises(ValueError) as raised:
+            load_records(tmp)
+    path = Path(tmp) / f"{name}.csv"
+    assert str(raised.value) == f"{path}:{at + 1}: expected {columns} columns, found {count}"
 
 
 # ---------------------------------------------------------------------------

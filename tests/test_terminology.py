@@ -13,7 +13,6 @@ from fhirtwin.terminology import (
     EntityType,
     MalformedRowError,
     UnknownSystemError,
-    load_dictionary,
     load_synonyms,
     load_terminology,
     normalize_surface,
@@ -23,12 +22,12 @@ from conftest import write_dictionary
 from oracles import oracle_lookup, oracle_normalize_key
 
 
-def test_load_dictionary_maps_hypertension_row(tmp_path):
+def test_load_terminology_maps_hypertension_row(tmp_path):
     path = write_dictionary(
         tmp_path,
         ["hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION"],
     )
-    index = load_dictionary(path)
+    index = load_terminology([path])
     entries = index.lookup("hypertension")
     assert len(entries) == 1
     assert entries[0].system == CodeSystem.SNOMED
@@ -38,7 +37,7 @@ def test_load_dictionary_maps_hypertension_row(tmp_path):
 
 def test_empty_file_gives_empty_index(tmp_path):
     path = write_dictionary(tmp_path, ["# nothing but a comment", ""])
-    index = load_dictionary(path)
+    index = load_terminology([path])
     assert index.lookup("anything") == []
     assert index.match_keys() == frozenset()
 
@@ -53,20 +52,20 @@ def test_malformed_row_names_line_and_aborts(tmp_path):
     ]
     path = write_dictionary(tmp_path, rows)
     with pytest.raises(MalformedRowError) as excinfo:
-        load_dictionary(path)
+        load_terminology([path])
     assert excinfo.value.line_no == 3
 
 
 def test_unknown_system_tag(tmp_path):
     path = write_dictionary(tmp_path, ["aspirin,NDC,0001,Aspirin,MEDICATION"])
     with pytest.raises(UnknownSystemError):
-        load_dictionary(path)
+        load_terminology([path])
 
 
 def test_unknown_entity_type_is_malformed(tmp_path):
     path = write_dictionary(tmp_path, ["aspirin,RXNORM,1191,Aspirin,DRUG"])
     with pytest.raises(MalformedRowError):
-        load_dictionary(path)
+        load_terminology([path])
 
 
 def test_duplicate_codes_register_extra_surfaces(tmp_path):
@@ -77,7 +76,7 @@ def test_duplicate_codes_register_extra_surfaces(tmp_path):
             "gastroesophageal reflux disease,SNOMED,235595009,Gastroesophageal reflux disease,CONDITION",
         ],
     )
-    index = load_dictionary(path)
+    index = load_terminology([path])
     assert index.lookup("gerd")[0].code == "235595009"
     assert index.lookup("gastroesophageal reflux disease")[0].code == "235595009"
 
@@ -110,7 +109,7 @@ def test_lookup_ordering_by_code_within_system(tmp_path):
         "twin condition,SNOMED,2222,Twin B,CONDITION",
         "twin condition,SNOMED,1111,Twin A,CONDITION",
     ]
-    index = load_dictionary(write_dictionary(tmp_path, rows))
+    index = load_terminology([write_dictionary(tmp_path, rows)])
     assert [e.code for e in index.lookup("twin condition")] == ["1111", "2222"]
 
 
@@ -122,7 +121,7 @@ def test_merge_is_idempotent(tmp_path):
             "metformin,RXNORM,6809,Metformin,MEDICATION",
         ],
     )
-    once = load_dictionary(path)
+    once = load_terminology([path])
     twice = load_terminology([path, path])
     for surface in ("hypertension", "metformin", "missing"):
         assert once.lookup(surface) == twice.lookup(surface)
