@@ -41,7 +41,7 @@ from fhirtwin.synthesizer import (
     split_corpus,
     synthesize,
 )
-from fhirtwin.terminology import CodeSystem, EntityType, TerminologyError
+from fhirtwin.terminology import CodeSystem, EntityType
 
 logger = logging.getLogger("fhirtwin")
 
@@ -283,9 +283,8 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
     config, pipeline, templates = setup
     try:
         records = load_records(args.tables)
-    except (FileNotFoundError, ValueError) as exc:
-        logger.error("cannot load tables: %s", exc)
-        return 1
+    except (OSError, ValueError) as exc:
+        return _setup_error(exc)
 
     cases = []
     skipped = 0
@@ -585,7 +584,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         setup = (config, Pipeline(config), load_templates(config.templates))
-    except (OSError, ValueError, TerminologyError) as exc:
+    except (OSError, ValueError) as exc:
         return _setup_error(exc)
     return args.func(args, setup)
 

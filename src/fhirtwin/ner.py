@@ -27,7 +27,12 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from fhirtwin._match.pymatch import dictionary_spans, token_spans
-from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
+from fhirtwin.terminology import (
+    EntityType,
+    MalformedRowError,
+    TerminologyIndex,
+    table_rows,
+)
 
 #: Tokens that keep a following period from ending a sentence.
 ABBREVIATIONS = frozenset(
@@ -125,20 +130,16 @@ class PatternSet:
 def load_patterns(path: str | Path) -> PatternSet:
     """Load a tab-separated pattern file: NAME<TAB>ETYPE<TAB>REGEX per line."""
     patterns: list[Pattern] = []
-    for line_no, line in data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-        name, raw_type, regex = parts
+    for line_no, (name, raw_type, regex) in table_rows(path, 3, "\t"):
         try:
             etype = EntityType[raw_type.strip().upper()]
             compiled = re.compile(regex, re.IGNORECASE)
         except KeyError:
-            raise ValueError(
-                f"{path}:{line_no}: unknown entity type {raw_type!r}"
+            raise MalformedRowError(
+                path, line_no, f"unknown entity type {raw_type!r}"
             ) from None
         except re.error as exc:
-            raise ValueError(f"{path}:{line_no}: bad regex: {exc}") from None
+            raise MalformedRowError(path, line_no, f"bad regex: {exc}") from None
         patterns.append(Pattern(name.strip(), etype, compiled))
     return PatternSet(tuple(patterns))
 

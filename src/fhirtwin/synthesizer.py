@@ -11,7 +11,7 @@ skipped with a warning.
 
 from __future__ import annotations
 
-import csv
+import errno
 import hashlib
 import logging
 import math
@@ -21,13 +21,18 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from fhirtwin import fhir_assembly
-from fhirtwin.evaluation import GoldAnnotations, GoldMention, GoldRelation
-from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP, TwinBundle
+from fhirtwin.evaluation import CorpusCase, GoldAnnotations, GoldMention, GoldRelation
+from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP
 from fhirtwin.ner import ClinicalNote
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import check_ratios
 from fhirtwin.relations import RelationType
-from fhirtwin.terminology import EntityType, TerminologyIndex, data_lines
+from fhirtwin.terminology import (
+    EntityType,
+    MalformedRowError,
+    TerminologyIndex,
+    table_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -74,33 +79,43 @@ class TemplateSet:
     lab: str
 
 
-@dataclass(frozen=True)
-class SyntheticCase:
-    note: ClinicalNote
-    gold: GoldAnnotations
-    reference: TwinBundle
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+#: Each template's slots: those whose span ``synthesize`` reads, which it
+#: must use, and those it may use besides.
+TEMPLATE_SLOTS = {
+    "history": ({"a", "b"}, set()),
+    "diagnosis": ({"description"}, set()),
+    "medication": ({"drug"}, {"dose", "frequency"}),
+    "lab": ({"test"}, {"value", "unit"}),
+}
 
 
 def load_templates(path: str | Path) -> TemplateSet:
-    """Load a tab-separated template file with history/diagnosis/medication/lab rows."""
+    """Load a tab-separated ``key<TAB>template`` file with history,
+    diagnosis, medication and lab rows; a later row for a key wins.
+
+    A template using a slot that ``TEMPLATE_SLOTS`` does not give it, or
+    leaving out one it must use, raises ``MalformedRowError``.
+    """
     entries: dict[str, str] = {}
-    for line_no, line in data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected key<TAB>template")
-        entries[parts[0].strip()] = parts[1]
-    missing = {"history", "diagnosis", "medication", "lab"} - set(entries)
+    for line_no, (key, template) in table_rows(path, 2, "\t"):
+        key = key.strip()
+        if key in TEMPLATE_SLOTS:
+            required, optional = TEMPLATE_SLOTS[key]
+            used = set(_PLACEHOLDER.findall(template))
+            for fault, slots in (
+                ("unknown", used - required - optional),
+                ("missing", required - used),
+            ):
+                if slots:
+                    reason = f"{key} template: {fault} slot {{{min(slots)}}}"
+                    raise MalformedRowError(path, line_no, reason)
+        entries[key] = template
+    missing = TEMPLATE_SLOTS.keys() - entries
     if missing:
         raise ValueError(f"{path}: missing templates: {sorted(missing)}")
-    return TemplateSet(
-        history=entries["history"],
-        diagnosis=entries["diagnosis"],
-        medication=entries["medication"],
-        lab=entries["lab"],
-    )
-
-
-_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+    return TemplateSet(**{key: entries[key] for key in TEMPLATE_SLOTS})
 
 
 def render_template(template: str, values: dict[str, str]) -> tuple[str, dict]:
@@ -155,7 +170,7 @@ def synthesize(
     index: TerminologyIndex,
     default_timestamp: str = DEFAULT_TIMESTAMP,
     note_id: Optional[str] = None,
-) -> SyntheticCase:
+) -> CorpusCase:
     """Render one record into a note with aligned gold and reference bundle."""
     if not (record.diagnoses or record.medications or record.labs):
         raise ValueError(f"record {record.patient_id!r} has no items")
@@ -312,7 +327,7 @@ def synthesize(
     gold = GoldAnnotations(note_id, tuple(gold_mentions), tuple(gold_relations))
     issues = fhir_assembly.validate(resources, patient)
     reference = fhir_assembly.bundle(patient, resources, issues)
-    return SyntheticCase(note=note, gold=gold, reference=reference)
+    return CorpusCase(note=note, gold=gold, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -320,83 +335,55 @@ def synthesize(
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path: Path, columns: int) -> list[list[str]]:
-    rows: list[list[str]] = []
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for line_no, cells in enumerate(reader, start=1):
-            if not cells or (cells[0].strip().startswith("#")):
-                continue
-            if line_no == 1 and cells and cells[0].strip().lower() == "patient_id":
-                continue  # header row
-            if len(cells) != columns:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {columns} columns, found {len(cells)}"
-                )
-            rows.append([c.strip() for c in cells])
-    return rows
+def _diagnosis(code: str, description: str) -> Diagnosis:
+    """A diagnosis item; a ``TAG:code`` code splits at its first ``:``."""
+    tag, colon, bare = code.partition(":")
+    if not colon:
+        return Diagnosis("", code, description)
+    return Diagnosis(tag.strip(), bare.strip(), description)
 
 
-def _split_code_tag(raw: str) -> tuple[str, str]:
-    if ":" in raw:
-        tag, _, code = raw.partition(":")
-        return tag.strip(), code.strip()
-    return "", raw
+#: Each structured table: its file, its column count, the item a row's
+#: cells after the patient id become, and the record field it joins.
+TABLES = (
+    ("diagnoses.csv", 3, _diagnosis, "diagnoses"),
+    ("prescriptions.csv", 4, Medication, "medications"),
+    ("labevents.csv", 5, Lab, "labs"),
+)
 
 
 def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
-    """Build per-patient records from diagnoses/prescriptions/labevents CSVs.
+    """Build per-patient records from the ``TABLES`` under ``tables_dir``.
 
-    Missing table files are tolerated (with a warning); at least one must
-    be present. Records come back sorted by patient id.
+    Cells are stripped, and a first line whose first cell is ``patient_id``
+    is a header. A missing table is tolerated with a warning; when none is
+    present this raises ``FileNotFoundError``. A row with an empty patient
+    id raises ``MalformedRowError``. Records come back sorted by patient id.
     """
     tables_dir = Path(tables_dir)
-    diagnoses: dict[str, list[Diagnosis]] = {}
-    medications: dict[str, list[Medication]] = {}
-    labs: dict[str, list[Lab]] = {}
-
-    paths = {
-        "diagnoses": tables_dir / "diagnoses.csv",
-        "prescriptions": tables_dir / "prescriptions.csv",
-        "labevents": tables_dir / "labevents.csv",
-    }
-    present = {name: path for name, path in paths.items() if path.exists()}
-    for name, path in paths.items():
-        if name not in present:
+    items: dict[str, dict[str, list]] = {}
+    found = False
+    for name, columns, make_item, record_field in TABLES:
+        path = tables_dir / name
+        if not path.exists():
             logger.warning("table %s not found; continuing without it", path)
-    if not present:
-        raise FileNotFoundError(f"no input tables found under {tables_dir}")
-
-    if "diagnoses" in present:
-        for patient_id, code, description in _read_table(present["diagnoses"], 3):
-            tag, bare = _split_code_tag(code)
-            diagnoses.setdefault(patient_id, []).append(
-                Diagnosis(tag=tag, code=bare, description=description)
-            )
-    if "prescriptions" in present:
-        for patient_id, drug, dose, frequency in _read_table(
-            present["prescriptions"], 4
-        ):
-            medications.setdefault(patient_id, []).append(
-                Medication(drug=drug, dose=dose, frequency=frequency)
-            )
-    if "labevents" in present:
-        for patient_id, test, value, unit, timestamp in _read_table(
-            present["labevents"], 5
-        ):
-            labs.setdefault(patient_id, []).append(
-                Lab(test=test, value=value, unit=unit, timestamp=timestamp)
-            )
-
-    patient_ids = sorted(set(diagnoses) | set(medications) | set(labs))
+            continue
+        found = True
+        for line_no, cells in table_rows(path, columns):
+            patient_id, *rest = (cell.strip() for cell in cells)
+            if line_no == 1 and patient_id.lower() == "patient_id":
+                continue
+            if not patient_id:
+                raise MalformedRowError(path, line_no, "empty patient_id")
+            fields = items.setdefault(patient_id, {})
+            fields.setdefault(record_field, []).append(make_item(*rest))
+    if not found:
+        raise FileNotFoundError(errno.ENOENT, "no input tables found", str(tables_dir))
     return [
         StructuredRecord(
-            patient_id=pid,
-            diagnoses=tuple(diagnoses.get(pid, [])),
-            medications=tuple(medications.get(pid, [])),
-            labs=tuple(labs.get(pid, [])),
+            patient_id, **{f: tuple(fields.get(f, ())) for *_, f in TABLES}
         )
-        for pid in patient_ids
+        for patient_id, fields in sorted(items.items())
     ]
 
 
@@ -419,10 +406,10 @@ def _bucket_counts(total: int, ratios: Sequence[float]) -> list[int]:
 
 
 def split_corpus(
-    cases: Sequence[SyntheticCase],
+    cases: Sequence[CorpusCase],
     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
     seed: int = 13,
-) -> tuple[list[SyntheticCase], list[SyntheticCase], list[SyntheticCase]]:
+) -> tuple[list[CorpusCase], list[CorpusCase], list[CorpusCase]]:
     """Deterministic patient-disjoint train/validation/test partition.
 
     Patients are ordered by a seeded hash of their id and sliced by the

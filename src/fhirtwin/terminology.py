@@ -6,10 +6,15 @@ Dictionaries are plain UTF-8 comma-delimited files with five columns,
     surface_form,system,code,display,entity_type
 
 where ``system`` is one of SNOMED/ICD10/LOINC/RXNORM and ``entity_type``
-is CONDITION, MEDICATION or OBSERVATION. Lines starting with ``#`` and
-blank lines are ignored. A second two-column file maps synonym aliases to
-canonical surface forms (``alias,canonical``); aliases must point directly
-at canonical forms, never at other aliases.
+is CONDITION, MEDICATION or OBSERVATION. A second two-column file maps
+synonym aliases to canonical surface forms (``alias,canonical``); aliases
+must point directly at canonical forms, never at other aliases.
+
+These two and every other setup table (patterns, templates and the
+synthesizer's structured tables) are read through ``table_rows``, which
+skips blank, whitespace-only and ``#`` lines and checks each row's cell
+count; each loader then checks its own cells. A bad row of any of them is
+one ``MalformedRowError``, ``<file>:<line>: <reason>``.
 
 ``load_terminology`` builds an index in one pass: it streams the rows of
 every dictionary, in file order, into one staging dict, keeps the first
@@ -34,28 +39,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 
-class TerminologyError(Exception):
-    """Base class for dictionary loading problems."""
-
-
-class MalformedRowError(TerminologyError):
-    """A dictionary or synonym row could not be parsed."""
+class MalformedRowError(ValueError):
+    """A row of a setup table could not be parsed; the message is
+    ``<file>:<line>: <reason>``."""
 
     def __init__(self, path: str | Path, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
-
-
-class UnknownSystemError(TerminologyError):
-    """A row names a code system that is not recognized."""
-
-    def __init__(self, path: str | Path, line_no: int, tag: str):
-        super().__init__(f"{path}:{line_no}: unknown code system {tag!r}")
-        self.path = str(path)
-        self.line_no = line_no
-        self.tag = tag
 
 
 class CodeSystem(Enum):
@@ -203,8 +195,7 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line without its newline) for every line of a UTF-8
     text file that is neither blank nor a ``#`` comment.
 
-    Raises ``ValueError`` naming the file when it is not UTF-8. CSV rows
-    are parsed one line each, so quoted embedded newlines are not supported.
+    Raises ``ValueError`` naming the file when it is not UTF-8.
     """
     try:
         with Path(path).open(encoding="utf-8") as handle:
@@ -216,15 +207,33 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def table_rows(
+    path: str | Path, columns: int, delimiter: str = ","
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, cells) for every data line of a setup table, as
+    ``data_lines`` finds them, with its cells unstripped.
+
+    A ``","`` line is split by ``csv.reader`` on that line alone, so a cell
+    may be quoted but cannot span lines; any other delimiter splits the line
+    as it stands. A line without exactly ``columns`` cells raises
+    ``MalformedRowError``.
+    """
+    for line_no, line in data_lines(path):
+        if delimiter == ",":
+            cells = next(csv.reader([line]))
+        else:
+            cells = line.split(delimiter)
+        if len(cells) != columns:
+            raise MalformedRowError(
+                path, line_no, f"expected {columns} columns, found {len(cells)}"
+            )
+        yield line_no, cells
+
+
 def _dictionary_rows(path: Path) -> Iterator[ConceptEntry]:
     """Parse each data row of one dictionary file, raising on the first
     malformed one."""
-    for line_no, line in data_lines(path):
-        cells = next(csv.reader([line]))
-        if len(cells) != 5:
-            raise MalformedRowError(
-                path, line_no, f"expected 5 columns, found {len(cells)}"
-            )
+    for line_no, cells in table_rows(path, 5):
         raw_surface, raw_system, code, display, raw_type = (c.strip() for c in cells)
         surface = normalize_surface(raw_surface)
         if not surface:
@@ -234,7 +243,9 @@ def _dictionary_rows(path: Path) -> Iterator[ConceptEntry]:
         try:
             system = CodeSystem[raw_system.upper()]
         except KeyError:
-            raise UnknownSystemError(path, line_no, raw_system) from None
+            raise MalformedRowError(
+                path, line_no, f"unknown code system {raw_system!r}"
+            ) from None
         try:
             entity_type = EntityType[raw_type.upper()]
         except KeyError:
@@ -257,12 +268,7 @@ def load_synonyms(path: str | Path) -> dict[str, str]:
     """
     path = Path(path)
     mapping: dict[str, str] = {}
-    for line_no, line in data_lines(path):
-        cells = next(csv.reader([line]))
-        if len(cells) != 2:
-            raise MalformedRowError(
-                path, line_no, f"expected 2 columns, found {len(cells)}"
-            )
+    for line_no, cells in table_rows(path, 2):
         alias, canonical = (normalize_surface(c) for c in cells)
         if not alias or not canonical:
             raise MalformedRowError(path, line_no, "empty alias or canonical form")

@@ -73,12 +73,49 @@ def test_synthesize_exits_3_after_skipping_a_patient(tmp_path, caplog):
     assert Path("notes/p1-note.txt") in runs["clean"][1]
 
 
-def test_synthesize_malformed_table_names_file(tmp_path, caplog):
+def test_synthesize_malformed_table_names_file(tmp_path, capsys):
     tables = tmp_path / "tables"
     tables.mkdir()
     (tables / "diagnoses.csv").write_text("p1,I10\n", encoding="utf-8")
     assert main(["synthesize", str(tables), "--out", str(tmp_path / "x")]) == 1
-    assert "diagnoses.csv" in caplog.text
+    path = tables / "diagnoses.csv"
+    assert capsys.readouterr().err == f"error: {path}:1: expected 3 columns, found 2\n"
+
+
+@pytest.mark.parametrize(
+    "files, reason",
+    [
+        (
+            {"diagnoses.csv": "patient_id,code,description\np1,ICD10:I10\n"},
+            "{dir}/diagnoses.csv:2: expected 3 columns, found 2",
+        ),
+        (
+            {"labevents.csv": "p1,BP,120/80,,2023-01-01T00:00:00Z\n ,BP,1,,\n"},
+            "{dir}/labevents.csv:2: empty patient_id",
+        ),
+        ({}, "{dir}: no input tables found"),
+        (
+            {"prescriptions.csv": b"p1,Lisinopril,10mg,daily\n\xff\n"},
+            "{dir}/prescriptions.csv: 'utf-8' codec",
+        ),
+    ],
+    ids=["bad_row", "empty_patient_id", "no_tables", "not_utf8"],
+)
+def test_synthesize_bad_tables_are_one_error_line_and_exit_1(
+    tmp_path, capsys, files, reason
+):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode("utf-8")
+        (tables / name).write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["synthesize", str(tables), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + reason.format(dir=tables))
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +638,16 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
             "templates = t.tsv\n",
             "{dir}/t.tsv: missing templates",
         ),
+        (
+            {
+                "t.tsv": "history\tHistory of {a} and {b}.\n"
+                "diagnosis\tPatient has {description}.\n"
+                "medication\tStarted {drug} {dose} {frequency}.\n"
+                "lab\t{test} {value} {units}.\n"
+            },
+            "templates = t.tsv\n",
+            "{dir}/t.tsv:4: lab template: unknown slot {{units}}",
+        ),
     ],
     ids=[
         "config_missing",
@@ -616,6 +663,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "pattern_bad_regex",
         "cues_not_utf8",
         "templates_incomplete",
+        "template_unknown_slot",
     ],
 )
 @pytest.mark.parametrize("command", ["synthesize", "extract", "twin", "evaluate"])

@@ -229,8 +229,7 @@ def small_corpus(pipeline, config, tables_dir):
     templates = load_templates(config.templates)
     cases = []
     for record in load_records(tables_dir)[:5]:
-        case = synthesize(record, templates, pipeline.index, config.default_timestamp)
-        cases.append(CorpusCase(case.note, case.gold, case.reference))
+        cases.append(synthesize(record, templates, pipeline.index, config.default_timestamp))
     return cases
 
 

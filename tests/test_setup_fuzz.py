@@ -4,7 +4,8 @@ Each example copies the bundled dictionary, synonyms, patterns, cues and
 templates next to a ``--config`` file that names them, then breaks one line
 of one of those six files: a wrong column count, an unknown code system or
 entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a
-synonym that points at itself or at another alias, a seed that is not a
+synonym that points at itself or at another alias, a template slot that
+its sentence does not fill or one it must use left out, a seed that is not a
 number, a ``max_ngram`` below 1, split ratios that are not three
 non-negative numbers summing to 1, or a boolean that is not one of its
 eight spellings. Every command must then return 1,
@@ -15,6 +16,7 @@ create no output directory.
 from __future__ import annotations
 
 import io
+import re
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -39,7 +41,7 @@ BREAKS = {
     "synonyms.csv": ("columns", "self_loop", "chain"),
     "patterns.tsv": ("columns", "etype", "regex"),
     "cues.txt": (),
-    "templates.tsv": ("columns",),
+    "templates.tsv": ("columns", "slot"),
     CONFIG: ("columns", "seed", "max_ngram", "ratios", "bool"),
 }
 COLUMNS = {
@@ -54,6 +56,15 @@ BAD_SYSTEMS = ("NDC", "SNOMED-CT", "", "ICD9")
 BAD_ETYPES = ("DRUG", "", "CONDITIONS")
 UNCODEABLE_ETYPES = ("DOSAGE", "TEMPORAL")
 BAD_REGEXES = ("(", "[a-", "*x", "(?P<x", "a{2,1}", "\\")
+#: Slot names that no template's sentence fills.
+BAD_SLOTS = ("units", "x", "drugs", "0", "patient_id")
+#: The slots whose span the synthesizer reads, which each template must use.
+REQUIRED_SLOTS = {
+    "history": ("a", "b"),
+    "diagnosis": ("description",),
+    "medication": ("drug",),
+    "lab": ("test",),
+}
 BAD_SEEDS = ("x", "1.5", "", "thirteen", "0x1")
 #: Below 1, n-gram matching would find no dictionary mention at all.
 BAD_MAX_NGRAMS = ("0", "-1", "-3", "-100")
@@ -119,6 +130,13 @@ def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
         cells[2] = data.draw(st.sampled_from(BAD_REGEXES))
     elif how == "self_loop":
         cells[1] = cells[0]
+    elif how == "slot" and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(cells[1])))
+        bad = "{" + data.draw(st.sampled_from(BAD_SLOTS)) + "}"
+        cells[1] = cells[1][:at] + bad + cells[1][at:]
+    elif how == "slot":
+        slot = data.draw(st.sampled_from(REQUIRED_SLOTS[cells[0]]))
+        cells[1] = re.sub(r"\{%s\}" % slot, "", cells[1])
     elif how == "chain":
         aliases = [lines[i].split(",")[0] for i in data_line_numbers(lines)]
         cells[1] = data.draw(st.sampled_from([a for a in aliases if a != cells[0]]))

@@ -28,6 +28,7 @@ from fhirtwin.synthesizer import (
     split_corpus,
     synthesize,
 )
+from fhirtwin.terminology import MalformedRowError
 
 from conftest import FIG1_TEXT
 
@@ -74,6 +75,45 @@ def test_render_template_missing_slot():
 # ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
+
+
+BUNDLED_TEMPLATES = {
+    "history": "History of {a} and {b}.",
+    "diagnosis": "Patient has {description}.",
+    "medication": "Started {drug} {dose} {frequency}.",
+    "lab": "{test} {value} {unit}.",
+}
+
+
+@pytest.mark.parametrize(
+    "key, template, reason",
+    [
+        ("lab", "{test} {value} {units}.", "lab template: unknown slot {units}"),
+        ("history", "History of {a}, {b} and {c}.", "history template: unknown slot {c}"),
+        ("diagnosis", "Patient has {drug}.", "diagnosis template: unknown slot {drug}"),
+        ("history", "History of {a}.", "history template: missing slot {b}"),
+        ("medication", "Started {dose} {frequency}.", "medication template: missing slot {drug}"),
+        ("lab", "{value} {unit}.", "lab template: missing slot {test}"),
+    ],
+)
+def test_load_templates_checks_each_templates_slots(tmp_path, key, template, reason):
+    lines = [f"{k}\t{template if k == key else t}" for k, t in BUNDLED_TEMPLATES.items()]
+    path = tmp_path / "templates.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as raised:
+        load_templates(path)
+    line_no = list(BUNDLED_TEMPLATES).index(key) + 1
+    assert str(raised.value) == f"{path}:{line_no}: {reason}"
+
+
+def test_load_templates_takes_the_optional_slots_or_leaves_them_out(tmp_path):
+    path = tmp_path / "templates.tsv"
+    path.write_text(
+        "history\t{b} then {a}.\ndiagnosis\tHas {description}.\n"
+        "medication\tOn {drug}.\nlab\t{unit} {test}.\n",
+        encoding="utf-8",
+    )
+    assert load_templates(path).medication == "On {drug}."
 
 
 def test_fig1_record_renders_expected_note(templates, index, config):
@@ -234,8 +274,9 @@ TABLES = {
 #: stripped.
 cell = st.text(" abXY019.-/%", max_size=6)
 patient_id = st.text("pq012", min_size=1, max_size=3)
-#: Blank and comment lines, which the loader skips wherever they are.
-junk_line = st.sampled_from(["", "# comment", "  # a, b, c", "#,,,"])
+#: Blank, whitespace-only and comment lines, which the loader skips
+#: wherever they are.
+junk_line = st.sampled_from(["", "   ", "\t", " \t ", "# comment", "  # a, b, c", "#,,,"])
 
 
 @st.composite
@@ -304,6 +345,23 @@ def test_load_records_names_the_line_of_a_row_with_the_wrong_column_count(files,
             load_records(tmp)
     path = Path(tmp) / f"{name}.csv"
     assert str(raised.value) == f"{path}:{at + 1}: expected {columns} columns, found {count}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_files(), st.data())
+def test_load_records_names_the_line_of_a_row_with_an_empty_patient_id(files, data):
+    name = data.draw(st.sampled_from(sorted(files)))
+    lines, items = files[name]
+    at = data.draw(st.integers(0, len(lines)))
+    empty_id = data.draw(st.sampled_from(["", " ", "  "]))
+    bad_row = ",".join([empty_id] + ["x"] * TABLES[name][0].count(","))
+    files = {**files, name: (lines[:at] + [bad_row] + lines[at:], items)}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tables(Path(tmp), files)
+        with pytest.raises(MalformedRowError) as raised:
+            load_records(tmp)
+    path = Path(tmp) / f"{name}.csv"
+    assert str(raised.value) == f"{path}:{at + 1}: empty patient_id"
 
 
 # ---------------------------------------------------------------------------

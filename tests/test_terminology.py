@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhirtwin import terminology
+from fhirtwin.ner import load_patterns
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import Pipeline
+from fhirtwin.synthesizer import load_records, load_templates
 from fhirtwin.terminology import (
     CODEABLE_TYPES,
     CodeSystem,
     EntityType,
     MalformedRowError,
-    UnknownSystemError,
     load_synonyms,
     load_terminology,
     normalize_surface,
@@ -58,8 +59,47 @@ def test_malformed_row_names_line_and_aborts(tmp_path):
 
 def test_unknown_system_tag(tmp_path):
     path = write_dictionary(tmp_path, ["aspirin,NDC,0001,Aspirin,MEDICATION"])
-    with pytest.raises(UnknownSystemError):
+    with pytest.raises(MalformedRowError) as excinfo:
         load_terminology([path])
+    assert str(excinfo.value) == f"{path}:1: unknown code system 'NDC'"
+
+
+@pytest.mark.parametrize(
+    "load, name, lines, reason",
+    [
+        (
+            lambda path: load_terminology([path]),
+            "dict.csv",
+            [
+                "hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION",
+                "   ",
+                "asthma,SNOMED,195967001,Asthma",
+            ],
+            "3: expected 5 columns, found 4",
+        ),
+        (load_synonyms, "syn.csv", ["# alias,canonical", "htn,hypertension,bp"], "2: expected 2 columns, found 3"),
+        (load_patterns, "patterns.tsv", ["\t", "DOSE\tDOSAGE"], "2: expected 3 columns, found 2"),
+        (
+            load_templates,
+            "templates.tsv",
+            ["history\tHistory of {a} and {b}.", "", "lab\t{test}\t{value}"],
+            "3: expected 2 columns, found 3",
+        ),
+        (
+            lambda path: load_records(path.parent),
+            "prescriptions.csv",
+            ["patient_id,drug,dose,frequency", "p1,Lisinopril,10mg daily"],
+            "2: expected 4 columns, found 3",
+        ),
+    ],
+    ids=["dictionary", "synonyms", "patterns", "templates", "prescriptions"],
+)
+def test_every_setup_table_names_a_wrong_cell_count_alike(tmp_path, load, name, lines, reason):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}:{reason}"
 
 
 def test_unknown_entity_type_is_malformed(tmp_path):
