@@ -65,14 +65,17 @@ def dictionary_spans(
     text: str,
     spans: list[tuple[int, int]],
     keys: frozenset[str] | set[str],
-    max_ngram: int,
+    max_ngram: int | None = None,
 ) -> list[tuple[int, int]]:
     """All token n-gram spans (n <= max_ngram) whose normalized slice is a key.
 
-    Returns every hit, ordered by (start, end); overlap resolution happens
-    in the caller.
+    With ``max_ngram`` None the prefix set alone bounds each scan, at the
+    longest key. Returns every hit, ordered by (start, end); overlap
+    resolution happens in the caller.
     """
     count = len(spans)
+    if max_ngram is None:
+        max_ngram = count
     if count == 0 or not keys or max_ngram <= 0:
         return []
     folded = [text[s:e].casefold() for s, e in spans]

@@ -507,10 +507,9 @@ def cmd_evaluate(args: argparse.Namespace, setup: Setup) -> int:
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return build_config(
         args.config,
-        disable_normalization=True if args.no_normalize else None,
-        disable_relations=True if args.no_relations else None,
+        disable_normalization=True if args.no_normalize or args.naive else None,
+        disable_relations=True if args.no_relations or args.naive else None,
         disable_validation=True if args.no_validate else None,
-        naive_mapping=True if args.naive else None,
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,
     )
@@ -532,7 +531,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--naive",
         action="store_true",
-        help="naive mapping: uncoded resources, no normalization or relations",
+        help="the naive baseline: --no-normalize --no-relations",
     )
 
 

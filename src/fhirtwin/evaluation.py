@@ -348,8 +348,8 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
     """Run ``pipeline`` over a corpus and score all four metrics.
 
     Relation scores are reported as absent when its config disables relation
-    extraction (directly or through naive mapping). Completeness and
-    interoperability are macro-averaged per patient.
+    extraction. Completeness and interoperability are macro-averaged per
+    patient.
     """
     if not cases:
         raise EmptyCorpusError("corpus has no cases")
@@ -386,7 +386,7 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
         gold_mentions.extend(note_gold_mentions)
         note_pred_relations = relation_keys(note_id, annotation.relations, mentions)
         note_gold_relations = gold_relation_keys(note_id, case.gold)
-        if config.extracts_relations:
+        if not config.disable_relations:
             predicted_relations.extend(note_pred_relations)
             gold_relations.extend(note_gold_relations)
         per_note.append(
@@ -417,7 +417,7 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
         )
 
     ner_p, ner_r, ner_f = ner_f1(predicted_mentions, gold_mentions)
-    if config.extracts_relations:
+    if not config.disable_relations:
         re_p, re_r, re_f = relation_f1(predicted_relations, gold_relations)
     else:
         re_p = re_r = re_f = None

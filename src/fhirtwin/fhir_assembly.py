@@ -14,14 +14,14 @@ the ``subject`` block once per call, and every Condition holds the same
 blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a write raises
 ``TypeError``, while each still compares equal to its plain ``dict``/``list``
 form, and ``dict(block)`` or ``json.loads(json.dumps(block))`` give mutable
-copies. Because they never change, ``to_json`` renders each one once per
-indentation and reuses the text; plain containers are rendered every time.
-``assemble`` also splits each distinct observation text once per call.
+copies. ``assemble`` also splits each distinct observation text once per
+call.
 
 ``bundle_to_json`` writes the Bundle document straight from the
 ``FhirResource`` entries, with no dict per entry or resource, and sends
-every field value through the same renderer and memo as ``to_json``, so
-its bytes are those of ``to_json`` over the equivalent dicts.
+every field value through the same renderer as ``to_json``, so its bytes
+are those of ``to_json`` over the equivalent dicts. Because a shared block
+never changes, it renders each one once per call and reuses the text.
 ``FhirResource`` and ``ValidationIssue`` are frozen slotted records.
 
 Rule codes:
@@ -364,14 +364,11 @@ def assemble(
     rels: Sequence[Relation],
     patient: FhirResource,
     default_timestamp: str = DEFAULT_TIMESTAMP,
-    placeholder_dosage: str = PLACEHOLDER_DOSAGE,
-    naive_mapping: bool = False,
 ) -> list[FhirResource]:
     """Turn one note's annotated mentions and relations into resources.
 
-    Mentions without a concept normally produce nothing; in naive-mapping
-    mode they produce display-text resources with no coding (which the
-    validator will then reject from the bundle).
+    A mention without a concept produces a display-text resource with no
+    coding, which the validator then rejects from the bundle.
     """
     timestamp = note.timestamp or default_timestamp
     mention_by_id = {a.mention.mention_id: a.mention for a in annotated}
@@ -389,8 +386,6 @@ def assemble(
     for item in annotated:
         mention, concept = item.mention, item.concept
         if mention.etype in (EntityType.DOSAGE, EntityType.TEMPORAL):
-            continue
-        if concept is None and not naive_mapping:
             continue
         patient_id, start = note.patient_id, mention.start
         if mention.etype == EntityType.CONDITION:
@@ -411,7 +406,7 @@ def assemble(
             )
         elif mention.etype == EntityType.MEDICATION:
             attached = sorted(dosages.get(mention.mention_id, []))
-            dosage_texts = [text for _, text in attached] or [placeholder_dosage]
+            dosage_texts = [text for _, text in attached] or [PLACEHOLDER_DOSAGE]
             resources.append(
                 medication_request_resource(
                     patient_id,
@@ -430,7 +425,6 @@ def validate(
     resources: Iterable[FhirResource],
     patient: FhirResource,
     default_timestamp: Optional[str] = None,
-    placeholder_dosage: str = PLACEHOLDER_DOSAGE,
 ) -> list[ValidationIssue]:
     """Check every resource against the profile rules; issues are the output.
 
@@ -508,7 +502,7 @@ def validate(
                             )
                         )
                 elif "dosageInstruction" in required and any(
-                    d.get("text") == placeholder_dosage
+                    d.get("text") == PLACEHOLDER_DOSAGE
                     for d in fields["dosageInstruction"]
                 ):
                     issues.append(
@@ -567,34 +561,18 @@ def to_json(value) -> str:
     every other scalar through ``json.dumps``, so the bytes match. A key
     that is not a ``str`` raises ``TypeError`` from the escaper, where the
     stdlib would coerce it; every writer in this package builds its dicts
-    with ``str`` keys only. A ``ReadOnlyDict`` or ``ReadOnlyList`` is
-    rendered once per indentation and its text reused wherever it recurs:
-    keying that memo on ``id()`` is sound because such a block cannot change
-    and ``value`` keeps it alive until the call returns.
+    with ``str`` keys only.
     """
     parts: list[str] = []
-    _emit(value, "\n", parts.append, {})
+    _emit(value, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
-_READ_ONLY_TYPES = frozenset({ReadOnlyDict, ReadOnlyList})
-
-
-def _emit(value, newline: str, emit, rendered: Optional[dict]) -> None:
-    """Append ``value``'s text to ``emit``; ``rendered`` memoises read-only
-    blocks by (id, indentation), and is None inside a block being memoised,
-    whose nested blocks are rendered into its text."""
+def _emit(value, newline: str, emit) -> None:
+    """Append ``value``'s text, at indentation ``newline``, to ``emit``."""
     if isinstance(value, str):
         emit(_encode_str(value))
-    elif rendered is not None and type(value) in _READ_ONLY_TYPES:
-        key = (id(value), newline)
-        text = rendered.get(key)
-        if text is None:
-            parts: list[str] = []
-            _emit(value, newline, parts.append, None)
-            text = rendered[key] = "".join(parts)
-        emit(text)
     elif isinstance(value, dict):
         if not value:
             emit("{}")
@@ -606,7 +584,7 @@ def _emit(value, newline: str, emit, rendered: Optional[dict]) -> None:
             emit(separator)
             emit(_encode_str(key))
             emit(": ")
-            _emit(item, inner, emit, rendered)
+            _emit(item, inner, emit)
             separator = comma
         emit(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -618,7 +596,7 @@ def _emit(value, newline: str, emit, rendered: Optional[dict]) -> None:
         separator = "[" + inner
         for item in value:
             emit(separator)
-            _emit(item, inner, emit, rendered)
+            _emit(item, inner, emit)
             separator = comma
         emit(newline + "]")
     else:
@@ -638,13 +616,16 @@ def bundle_to_json(twin: TwinBundle) -> str:
     Each entry is rendered straight from its ``FhirResource``, with no
     intermediate dict: ``resourceType`` and ``id`` first, then the fields,
     where a field named ``resourceType`` or ``id`` takes that key's place
-    as ``dict.update`` would. Every value goes through ``_emit`` with one
-    read-only memo, so a shared block is rendered once.
+    as ``dict.update`` would. Every value goes through ``_emit``. The
+    shared code, status and subject blocks occur only as field values, so
+    each ``ReadOnlyDict`` field value is rendered once per call and its text
+    reused: keying that memo on ``id()`` is sound because such a block
+    cannot change and ``twin`` keeps it alive until the call returns.
     """
     parts = ['{\n  "resourceType": "Bundle",\n  "type": ']
     emit = parts.append
-    rendered: dict = {}
-    _emit(twin.bundle_type, "\n  ", emit, rendered)
+    rendered: dict[int, str] = {}
+    _emit(twin.bundle_type, "\n  ", emit)
     emit(',\n  "entry": ')
     if not twin.entries:
         emit("[]\n}\n")
@@ -654,15 +635,23 @@ def bundle_to_json(twin: TwinBundle) -> str:
         fields = resource.fields
         emit(separator)
         resource_type = fields.get("resourceType", resource.resource_type)
-        _emit(resource_type, _FIELD_NEWLINE, emit, rendered)
+        _emit(resource_type, _FIELD_NEWLINE, emit)
         emit(_FIELD_SEPARATOR + '"id": ')
-        _emit(fields.get("id", resource.id), _FIELD_NEWLINE, emit, rendered)
+        _emit(fields.get("id", resource.id), _FIELD_NEWLINE, emit)
         for key, value in fields.items():
             if key != "resourceType" and key != "id":
                 emit(_FIELD_SEPARATOR)
                 emit(_encode_str(key))
                 emit(": ")
-                _emit(value, _FIELD_NEWLINE, emit, rendered)
+                if type(value) is ReadOnlyDict:
+                    text = rendered.get(id(value))
+                    if text is None:
+                        block: list[str] = []
+                        _emit(value, _FIELD_NEWLINE, block.append)
+                        text = rendered[id(value)] = "".join(block)
+                    emit(text)
+                else:
+                    _emit(value, _FIELD_NEWLINE, emit)
         emit("\n      }\n    }")
         separator = ",\n    " + _ENTRY_OPEN
     emit("\n  ]\n}\n")
@@ -683,10 +672,6 @@ def bundle_from_dict(body: dict) -> TwinBundle:
         resource_from_dict(entry["resource"]) for entry in body.get("entry", [])
     )
     return TwinBundle(entries=entries, bundle_type=body.get("type", "collection"))
-
-
-def bundle_from_json(text: str) -> TwinBundle:
-    return bundle_from_dict(json.loads(text))
 
 
 def issues_to_json(issues: Sequence[ValidationIssue]) -> str:

@@ -1,10 +1,10 @@
 """Sentence segmentation and entity mention extraction.
 
-Extraction combines dictionary matching (longest token n-gram wins) with a
-configurable set of regular-expression patterns for dosages, observations
-with inline values, and temporal expressions. Everything here is a pure
-function of its inputs, so notes can be processed in parallel against a
-shared read-only index.
+Extraction combines dictionary matching (longest token n-gram wins, up to
+the longest dictionary key) with a configurable set of regular-expression
+patterns for dosages, observations with inline values, and temporal
+expressions. Everything here is a pure function of its inputs, so notes
+can be processed in parallel against a shared read-only index.
 
 ``segment`` and ``token_spans`` scan the text with one regex each.
 
@@ -71,8 +71,6 @@ _ETYPE_PRIORITY = {
     EntityType.TEMPORAL: 4,
 }
 _ETYPE_BY_PRIORITY = tuple(sorted(_ETYPE_PRIORITY, key=_ETYPE_PRIORITY.__getitem__))
-
-DEFAULT_MAX_NGRAM = 6
 
 #: An extraction candidate ranked for overlap resolution:
 #: ``(start - end, start, priority, end, sentence index)``.
@@ -236,7 +234,6 @@ def extract_entities(
     note: ClinicalNote,
     index: TerminologyIndex,
     patterns: PatternSet,
-    max_ngram: int = DEFAULT_MAX_NGRAM,
 ) -> list[EntityMention]:
     """Extract typed, non-overlapping entity mentions from a note.
 
@@ -258,7 +255,7 @@ def extract_entities(
     if keys:
         # Each distinct surface is looked up once per note.
         priority_of: dict[str, Optional[int]] = {}
-        for start, end in dictionary_spans(text, token_spans(text), keys, max_ngram):
+        for start, end in dictionary_spans(text, token_spans(text), keys):
             surface = text[start:end]
             if surface not in priority_of:
                 entries = index.lookup(surface)

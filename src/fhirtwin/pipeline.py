@@ -1,15 +1,13 @@
 """Pipeline configuration and the staged note-to-bundle runner.
 
 A PipelineConfig names every input file the stages need plus the ablation
-flags. Flags compose independently; naive mapping additionally implies
-that normalization and relation extraction are skipped and that uncoded
-display-text resources are emitted.
+flags, which compose independently. The paper's naive baseline is
+normalization and relation extraction both disabled.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -17,7 +15,6 @@ from typing import Optional, Sequence
 from fhirtwin import fhir_assembly, ner, relations, terminology
 from fhirtwin.fhir_assembly import (
     DEFAULT_TIMESTAMP,
-    PLACEHOLDER_DOSAGE,
     FhirResource,
     TwinBundle,
     ValidationIssue,
@@ -26,8 +23,6 @@ from fhirtwin.ner import ClinicalNote, PatternSet
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
 from fhirtwin.relations import Relation
 from fhirtwin.terminology import TerminologyIndex, data_lines
-
-TIMESTAMP_ENV_VAR = "FHIRTWIN_DEFAULT_TIMESTAMP"
 
 
 def default_data_dir() -> Path:
@@ -44,23 +39,10 @@ class PipelineConfig:
     disable_normalization: bool = False
     disable_relations: bool = False
     disable_validation: bool = False
-    naive_mapping: bool = False
     default_timestamp: str = DEFAULT_TIMESTAMP
-    placeholder_dosage: str = PLACEHOLDER_DOSAGE
     out_dir: Path = Path("out")
     split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     seed: int = 13
-    max_ngram: int = ner.DEFAULT_MAX_NGRAM
-
-    @property
-    def normalizes(self) -> bool:
-        """Whether mentions are normalized; naive mapping implies not."""
-        return not (self.disable_normalization or self.naive_mapping)
-
-    @property
-    def extracts_relations(self) -> bool:
-        """Whether relations are extracted; naive mapping implies not."""
-        return not (self.disable_relations or self.naive_mapping)
 
     def resolved(self) -> "PipelineConfig":
         """Fill unset file paths from the bundled data directory."""
@@ -86,12 +68,7 @@ def check_ratios(ratios: Sequence[float]) -> None:
         raise BadRatiosError(f"ratios {tuple(ratios)!r} must be non-negative and sum to 1")
 
 
-_BOOL_KEYS = (
-    "disable_normalization",
-    "disable_relations",
-    "disable_validation",
-    "naive_mapping",
-)
+_BOOL_KEYS = ("disable_normalization", "disable_relations", "disable_validation")
 #: The spellings a boolean config value may take, in any case.
 _BOOLS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -129,16 +106,13 @@ def load_config_file(path: str | Path) -> dict:
             parsed[key] = respath(value)
         elif key == "out":
             parsed["out_dir"] = respath(value)
-        elif key in ("seed", "max_ngram", *_RATIO_KEYS):
+        elif key in ("seed", *_RATIO_KEYS):
             number = float if key.endswith("_ratio") else int
             try:
                 parsed[key] = number(value)
             except ValueError as exc:
                 raise ValueError(f"{path}: {key}: {exc}") from None
-            # Below 1 the matcher would silently find no dictionary mention.
-            if key == "max_ngram" and parsed[key] < 1:
-                raise ValueError(f"{path}: max_ngram: {value} is below 1")
-        elif key in ("default_timestamp", "placeholder_dosage"):
+        elif key == "default_timestamp":
             parsed[key] = value
         elif key in _BOOL_KEYS:
             try:
@@ -165,13 +139,10 @@ def load_config_file(path: str | Path) -> dict:
 def build_config(
     config_path: Optional[str | Path] = None, **overrides
 ) -> PipelineConfig:
-    """Layer defaults, config file, environment, and explicit overrides."""
+    """Layer defaults, config file, and explicit overrides."""
     values: dict = {}
     if config_path is not None:
         values.update(load_config_file(config_path))
-    env_timestamp = os.environ.get(TIMESTAMP_ENV_VAR)
-    if env_timestamp:
-        values["default_timestamp"] = env_timestamp
     values.update({k: v for k, v in overrides.items() if v is not None})
     return PipelineConfig(**values).resolved()
 
@@ -200,12 +171,12 @@ class Pipeline:
 
     def annotate(self, note: ClinicalNote) -> NoteAnnotation:
         cfg = self.config
-        mentions = ner.extract_entities(note, self.index, self.patterns, cfg.max_ngram)
-        if cfg.normalizes:
-            annotated = normalize_all(mentions, self.index)
-        else:
+        mentions = ner.extract_entities(note, self.index, self.patterns)
+        if cfg.disable_normalization:
             annotated = [AnnotatedMention(m, None) for m in mentions]
-        if cfg.extracts_relations:
+        else:
+            annotated = normalize_all(mentions, self.index)
+        if not cfg.disable_relations:
             sentences = ner.segment(note.text)
             rels = relations.extract_relations(annotated, sentences, note.text, self.cues)
         else:
@@ -228,18 +199,13 @@ class Pipeline:
                     annotation.relations,
                     patient,
                     default_timestamp=cfg.default_timestamp,
-                    placeholder_dosage=cfg.placeholder_dosage,
-                    naive_mapping=cfg.naive_mapping,
                 )
             )
         if cfg.disable_validation:
             issues: list[ValidationIssue] = []
         else:
             issues = fhir_assembly.validate(
-                resources,
-                patient,
-                default_timestamp=cfg.default_timestamp,
-                placeholder_dosage=cfg.placeholder_dosage,
+                resources, patient, default_timestamp=cfg.default_timestamp
             )
         twin = fhir_assembly.bundle(patient, resources, issues)
         return twin, issues, annotations

@@ -8,9 +8,7 @@ Two rules produce relations between distinct mentions:
   "secondary to", ...) and then a condition yields ``symptom-of``.
 
 Observations that carry their value inline ("BP 145/92") need no relation:
-assembly reads the value straight off the span. ``has-result`` exists as a
-relation type so gold annotations and external annotation files can
-express explicit result links, and it scores like any other type.
+assembly reads the value straight off the span.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from fhirtwin.terminology import EntityType, data_lines
 class RelationType(Enum):
     SYMPTOM_OF = "symptom-of"
     HAS_DOSAGE = "has-dosage"
-    HAS_RESULT = "has-result"
 
     __hash__ = object.__hash__  # as for terminology.CodeSystem
 
@@ -41,9 +38,6 @@ class Relation:
     rtype: RelationType
     head: str
     tail: str
-
-
-DEFAULT_CUES = ("due to", "secondary to", "consistent with")
 
 
 def load_cues(path: str | Path) -> tuple[str, ...]:
@@ -60,7 +54,7 @@ def extract_relations(
     annotated: Sequence[AnnotatedMention],
     sentences: Sequence[Sentence],
     note_text: str,
-    cues: Iterable[str] = DEFAULT_CUES,
+    cues: Iterable[str],
 ) -> list[Relation]:
     """Apply the per-sentence attachment rules over annotated mentions.
 

@@ -193,12 +193,13 @@ class TerminologyIndex:
 
 def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line without its newline) for every line of a UTF-8
-    text file that is neither blank nor a ``#`` comment.
+    text file that is neither blank nor a ``#`` comment. A leading byte-order
+    mark, as spreadsheet exports write it, is not part of the first line.
 
     Raises ``ValueError`` naming the file when it is not UTF-8.
     """
     try:
-        with Path(path).open(encoding="utf-8") as handle:
+        with Path(path).open(encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 stripped = raw.strip()
                 if stripped and not stripped.startswith("#"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fhirtwin.cli import ABSENT, check, load_notes, main
-from fhirtwin.pipeline import Pipeline
+from fhirtwin.pipeline import Pipeline, default_data_dir
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, tree
 
@@ -71,6 +71,36 @@ def test_synthesize_exits_3_after_skipping_a_patient(tmp_path, caplog):
     assert "skipping patient p2" in caplog.text
     assert runs["partial"][1] == runs["clean"][1]
     assert Path("notes/p1-note.txt") in runs["clean"][1]
+
+
+def test_setup_files_read_the_same_with_a_byte_order_mark(tables_dir, tmp_path):
+    data = default_data_dir()
+    setup = {
+        "dictionary": "terminology.csv",
+        "synonyms": "synonyms.csv",
+        "patterns": "patterns.tsv",
+        "cues": "cues.txt",
+        "templates": "templates.tsv",
+    }
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        root = tmp_path / ("bom" if bom else "plain")
+        tables = root / "tables"
+        tables.mkdir(parents=True)
+        for table in tables_dir.iterdir():
+            (tables / table.name).write_bytes(bom + table.read_bytes())
+        for name in setup.values():
+            (root / name).write_bytes(bom + (data / name).read_bytes())
+        config = root / "fhirtwin.conf"
+        lines = "".join(f"{key} = {name}\n" for key, name in setup.items())
+        config.write_bytes(bom + lines.encode("utf-8"))
+        out = root / "out"
+        flags = ["--config", str(config)]
+        assert main(["synthesize", str(tables), "--out", str(out / "corpus"), *flags]) == 0
+        assert main(["evaluate", str(out / "corpus"), "--out", str(out / "eval"), *flags]) == 0
+        outputs.append(tree(out))
+    assert outputs[0] == outputs[1]
+    assert read_json(tmp_path / "bom/out/eval/report.json")["ner_f1"] == 1.0
 
 
 def test_synthesize_malformed_table_names_file(tmp_path, capsys):
@@ -381,12 +411,40 @@ def test_evaluate_naive_scores_lower(corpus, tmp_path):
     assert naive["re_f1"] is None
 
 
+def test_twin_no_normalize_rejects_every_codeable_resource(tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "n1.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["twin", str(notes), "--out", str(out), "--no-normalize"]) == 0
+    twin = read_json(out / "bundles" / "twin_n1.json")
+    assert [e["resource"]["resourceType"] for e in twin["entry"]] == ["Patient"]
+    issues = read_json(out / "bundles" / "twin_n1.issues.json")
+    rules = {}
+    for issue in issues:
+        if issue["severity"] == "ERROR":
+            rules.setdefault(issue["resource_id"], []).append(issue["rule"])
+    # Two conditions, the blood pressure and the medication: one rejection each.
+    assert sorted(rules.values()) == [["C1"], ["C1"], ["M1"], ["O1"]]
+
+
 def test_evaluate_no_relations_reports_dash(corpus, tmp_path):
     out = tmp_path / "eval"
     assert main(["evaluate", str(corpus), "--out", str(out), "--no-relations"]) == 0
     report = read_json(out / "report.json")
     assert report["re_f1"] is None
     assert "--" in (out / "summary.tsv").read_text(encoding="utf-8")
+
+
+def test_evaluate_rejects_a_has_result_gold_relation(corpus, tmp_path, caplog):
+    path = corpus / "gold" / "p001-note.json"
+    body = read_json(path)
+    body["relations"][0]["rtype"] = "has-result"
+    path.write_text(json.dumps(body, indent=2), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert f"bad corpus file {path}: ValueError: relations[0].rtype" in caplog.text
+    assert not out.exists()
 
 
 def test_evaluate_empty_corpus(tmp_path):
@@ -600,7 +658,13 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         ({}, None, "{config}: No such file or directory"),
         ({}, "colour = red\n", "{config}: unknown config key 'colour'"),
         ({}, "seed = x\n", "{config}: seed: invalid literal for int()"),
-        ({}, "max_ngram = -3\n", "{config}: max_ngram: -3 is below 1"),
+        ({}, "max_ngram = 6\n", "{config}: unknown config key 'max_ngram'"),
+        (
+            {},
+            "placeholder_dosage = see label\n",
+            "{config}: unknown config key 'placeholder_dosage'",
+        ),
+        ({}, "naive_mapping = 1\n", "{config}: unknown config key 'naive_mapping'"),
         (
             {},
             "train_ratio = 0.5\nvalidation_ratio = 0.2\ntest_ratio = 0.2\n",
@@ -653,7 +717,9 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "config_missing",
         "config_unknown_key",
         "config_bad_int",
-        "config_max_ngram_below_1",
+        "config_removed_max_ngram",
+        "config_removed_placeholder_dosage",
+        "config_removed_naive_mapping",
         "config_ratios_not_summing_to_1",
         "config_negative_ratio",
         "config_bad_bool",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 
@@ -20,7 +21,7 @@ from fhirtwin.fhir_assembly import (
     assemble,
     build_patient,
     bundle,
-    bundle_from_json,
+    bundle_from_dict,
     bundle_to_json,
     issues_to_json,
     read_only,
@@ -28,6 +29,7 @@ from fhirtwin.fhir_assembly import (
     validate,
 )
 from fhirtwin.ner import ClinicalNote
+from fhirtwin.pipeline import Pipeline
 from fhirtwin.terminology import CodeSystem
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
@@ -103,23 +105,23 @@ def test_medication_without_dosage_gets_placeholder(pipeline):
     assert [(i.rule, i.severity) for i in issues] == [("W1", Severity.WARNING)]
 
 
-def test_unknown_mentions_skipped_unless_naive(pipeline, index):
+def test_words_outside_the_dictionary_make_no_resources(pipeline):
     note = ClinicalNote("n1", "p1", None, "Patient has frobnosticosis.")
     annotation = pipeline.annotate(note)
     patient = build_patient("p1")
-    # the unknown condition never reached mention stage (not in dictionary),
-    # so exercise the naive path with a known term but normalization off
+    # An unknown word never becomes a mention, so it has nothing to assemble.
+    assert annotation.annotated == ()
     assert assemble(note, annotation.annotated, (), patient) == []
 
 
-def test_naive_mapping_emits_uncoded_resources(pipeline):
+def test_naive_mapping_emits_uncoded_resources(config):
+    naive = dataclasses.replace(
+        config, disable_normalization=True, disable_relations=True
+    )
     note = ClinicalNote("n1", "p1", None, FIG1_TEXT)
-    annotation = pipeline.annotate(note)
-    stripped = [
-        type(a)(a.mention, None) for a in annotation.annotated
-    ]
+    annotation = Pipeline(naive).annotate(note)
     patient = build_patient("p1")
-    resources = assemble(note, stripped, (), patient, naive_mapping=True)
+    resources = assemble(note, annotation.annotated, annotation.relations, patient)
     assert {r.resource_type for r in resources} == {"Condition", "MedicationRequest"}
     for resource in resources:
         assert resource.primary_code() is None
@@ -254,14 +256,12 @@ _resources = st.builds(
 @given(
     st.lists(_resources, max_size=5),
     st.sampled_from([None, DEFAULT_TIMESTAMP, _TIMES[0]]),
-    st.sampled_from([PLACEHOLDER_DOSAGE, "10mg daily"]),
 )
-def test_validate_matches_per_type_oracle(resources, default_timestamp, placeholder):
-    args = (resources, _PATIENT, default_timestamp, placeholder)
-    issues = validate(*args)
+def test_validate_matches_per_type_oracle(resources, default_timestamp):
+    issues = validate(resources, _PATIENT, default_timestamp)
     assert [
         (i.resource_id, i.rule, i.severity.value, i.message) for i in issues
-    ] == oracle_validate(*args)
+    ] == oracle_validate(resources, _PATIENT, default_timestamp, PLACEHOLDER_DOSAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +510,7 @@ def test_bundle_round_trip(pipeline):
     patient, resources = golden_bundle_parts(pipeline)
     twin = bundle(patient, resources, validate(resources, patient))
     text = bundle_to_json(twin)
-    assert bundle_from_json(text) == twin
+    assert bundle_from_dict(json.loads(text)) == twin
     parsed = json.loads(text)
     assert parsed["resourceType"] == "Bundle"
     assert parsed["type"] == "collection"

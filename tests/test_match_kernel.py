@@ -65,12 +65,13 @@ def _normalize(text):
 
 
 def brute_force_dictionary_spans(text, keys, max_ngram):
-    """Oracle: test every token-start/token-end pair directly."""
+    """Oracle: test every token-start/token-end pair directly; a
+    ``max_ngram`` of None is no cap."""
     spans = pymatch.token_spans(text)
     hits = []
     for i, (start, _) in enumerate(spans):
         for j in range(i, len(spans)):
-            if j - i + 1 > max_ngram:
+            if max_ngram is not None and j - i + 1 > max_ngram:
                 continue
             end = spans[j][1]
             if _normalize(text[start:end]) in keys:
@@ -132,7 +133,7 @@ keys_strategy = st.frozensets(
 
 
 @settings(max_examples=200)
-@given(text_strategy, keys_strategy, st.integers(0, 6))
+@given(text_strategy, keys_strategy, st.none() | st.integers(0, 6))
 def test_oracle_agreement_on_generated_text(text, keys, max_ngram):
     spans = pymatch.token_spans(text)
     assert sorted(pymatch.dictionary_spans(text, spans, keys, max_ngram)) == (

@@ -6,20 +6,22 @@ import pickle
 import pytest
 
 from fhirtwin import ner
-from fhirtwin.fhir_assembly import FhirResource, Severity, ValidationIssue, bundle_to_json
+from fhirtwin.cli import _config_from_args, build_parser
+from fhirtwin.fhir_assembly import (
+    DEFAULT_TIMESTAMP,
+    FhirResource,
+    Severity,
+    ValidationIssue,
+    bundle_to_json,
+)
 from fhirtwin.ner import ClinicalNote, EntityMention, Sentence
 from fhirtwin.normalizer import AnnotatedMention, NormalizedConcept
-from fhirtwin.pipeline import (
-    TIMESTAMP_ENV_VAR,
-    Pipeline,
-    build_config,
-    load_config_file,
-)
+from fhirtwin.pipeline import Pipeline, build_config, load_config_file
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
 from fhirtwin.terminology import CodeSystem, EntityType
 
-from conftest import TABLE3_TEXT
+from conftest import TABLE3_TEXT, write_dictionary
 
 
 def test_build_config_uses_bundled_defaults(config):
@@ -58,8 +60,8 @@ def test_config_file_parsing(tmp_path):
 )
 def test_boolean_config_values_take_eight_spellings_in_any_case(tmp_path, value, flag):
     conf = tmp_path / "fhirtwin.conf"
-    conf.write_text(f"naive_mapping = {value}\n", encoding="utf-8")
-    assert load_config_file(conf) == {"naive_mapping": flag}
+    conf.write_text(f"disable_validation = {value}\n", encoding="utf-8")
+    assert load_config_file(conf) == {"disable_validation": flag}
 
 
 def test_config_ratios_left_out_take_their_defaults(tmp_path):
@@ -82,9 +84,12 @@ def test_config_file_rejects_bare_lines(tmp_path):
         load_config_file(conf)
 
 
-def test_env_var_overrides_default_timestamp(monkeypatch):
-    monkeypatch.setenv(TIMESTAMP_ENV_VAR, "1999-12-31T23:59:59Z")
-    assert build_config().default_timestamp == "1999-12-31T23:59:59Z"
+def test_default_timestamp_is_set_by_the_config_file_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("FHIRTWIN_DEFAULT_TIMESTAMP", "1999-12-31T23:59:59Z")
+    assert build_config().default_timestamp == DEFAULT_TIMESTAMP
+    conf = tmp_path / "fhirtwin.conf"
+    conf.write_text("default_timestamp = 2020-05-05T00:00:00Z\n", encoding="utf-8")
+    assert build_config(conf).default_timestamp == "2020-05-05T00:00:00Z"
 
 
 def test_explicit_overrides_beat_config_file(tmp_path):
@@ -106,9 +111,13 @@ def test_disabling_normalization_keeps_mentions(config):
     assert all(a.concept is None for a in ablated.annotated)
 
 
-def test_naive_mapping_disables_normalization_and_relations(config):
+def test_naive_mapping_disables_normalization_and_relations():
+    args = build_parser().parse_args(["twin", "notes", "--naive"])
+    config = _config_from_args(args)
+    assert config.disable_normalization and config.disable_relations
+    assert not config.disable_validation
     note = ClinicalNote("n1", "p1", None, TABLE3_TEXT)
-    naive = Pipeline(dataclasses.replace(config, naive_mapping=True)).annotate(note)
+    naive = Pipeline(config).annotate(note)
     assert all(a.concept is None for a in naive.annotated)
     assert naive.relations == ()
 
@@ -118,7 +127,7 @@ def test_naive_mapping_disables_normalization_and_relations(config):
     [
         ({}, 2),
         ({"disable_relations": True}, 1),
-        ({"naive_mapping": True}, 1),
+        ({"disable_normalization": True, "disable_relations": True}, 1),
         ({"disable_normalization": True}, 2),
     ],
 )
@@ -138,6 +147,19 @@ def test_notes_are_segmented_again_only_for_relations(config, monkeypatch, flags
     ]
     pipeline.twin("p1", notes)
     assert texts == [note.text for note in notes for _ in range(calls)]
+
+
+def test_a_dictionary_surface_longer_than_six_tokens_is_matched_whole(config, tmp_path):
+    surface = "24 HR metformin hydrochloride 500 MG Extended Release Oral Tablet"
+    extra = write_dictionary(tmp_path, [f"{surface},RXNORM,860975,{surface},MEDICATION"])
+    pipeline = Pipeline(
+        dataclasses.replace(config, dictionaries=config.dictionaries + (extra,))
+    )
+    annotation = pipeline.annotate(ClinicalNote("n1", "p1", None, f"Started {surface}."))
+    assert [
+        (a.mention.text, a.mention.etype, a.concept.system, a.concept.code)
+        for a in annotation.annotated
+    ] == [(surface, EntityType.MEDICATION, CodeSystem.RXNORM, "860975")]
 
 
 def test_twin_bundles_have_exactly_one_patient(pipeline):

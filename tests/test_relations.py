@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fhirtwin.ner import ClinicalNote, EntityMention, extract_entities, segment
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
-from fhirtwin.relations import DEFAULT_CUES, RelationType, extract_relations, load_cues
+from fhirtwin.pipeline import default_data_dir
+from fhirtwin.relations import RelationType, extract_relations, load_cues
 from fhirtwin.terminology import EntityType
 
 from conftest import FIG1_TEXT, TABLE3_TEXT
@@ -142,7 +143,12 @@ def test_load_cues(tmp_path):
     path = tmp_path / "cues.txt"
     path.write_text("# attribution cues\ndue to\nsecondary to\n", encoding="utf-8")
     assert load_cues(path) == ("due to", "secondary to")
-    assert set(DEFAULT_CUES) <= {"due to", "secondary to", "consistent with"}
+    assert load_cues(default_data_dir() / "cues.txt") == (
+        "due to",
+        "secondary to",
+        "consistent with",
+        "attributed to",
+    )
 
 
 # ---------------------------------------------------------------------------

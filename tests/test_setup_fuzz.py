@@ -6,11 +6,10 @@ of one of those six files: a wrong column count, an unknown code system or
 entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a
 synonym that points at itself or at another alias, a template slot that
 its sentence does not fill or one it must use left out, a seed that is not a
-number, a ``max_ngram`` below 1, split ratios that are not three
-non-negative numbers summing to 1, or a boolean that is not one of its
-eight spellings. Every command must then return 1,
-print exactly one ``error: <that file>...`` line, show no traceback and
-create no output directory.
+number, split ratios that are not three non-negative numbers summing to 1,
+or a boolean that is not one of its eight spellings. Every command must
+then return 1, print exactly one ``error: <that file>...`` line, show no
+traceback and create no output directory.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ BREAKS = {
     "patterns.tsv": ("columns", "etype", "regex"),
     "cues.txt": (),
     "templates.tsv": ("columns", "slot"),
-    CONFIG: ("columns", "seed", "max_ngram", "ratios", "bool"),
+    CONFIG: ("columns", "seed", "ratios", "bool"),
 }
 COLUMNS = {
     "terminology.csv": (",", 5),
@@ -66,8 +65,6 @@ REQUIRED_SLOTS = {
     "lab": ("test",),
 }
 BAD_SEEDS = ("x", "1.5", "", "thirteen", "0x1")
-#: Below 1, n-gram matching would find no dictionary mention at all.
-BAD_MAX_NGRAMS = ("0", "-1", "-3", "-100")
 #: In place of any one of the default ratios, each breaks the triple.
 BAD_RATIOS = ("-1", "-0.15", "0", "0.5", "1", "nan", "inf", "x")
 BAD_BOOLS = ("ture", "", "2", "y", "enabled", "0.0", "nope")
@@ -75,12 +72,10 @@ BOOL_KEYS = (
     "disable_normalization",
     "disable_relations",
     "disable_validation",
-    "naive_mapping",
 )
 #: A config break: the keys of the lines it may rewrite, and the bad values.
 CONFIG_VALUES = {
     "seed": (("seed",), BAD_SEEDS),
-    "max_ngram": (("max_ngram",), BAD_MAX_NGRAMS),
     "ratios": (("train_ratio", "validation_ratio", "test_ratio"), BAD_RATIOS),
     "bool": (BOOL_KEYS, BAD_BOOLS),
 }
@@ -92,7 +87,7 @@ def write_setup(root: Path) -> Path:
     for name in DATA_FILES.values():
         (root / name).write_bytes((data / name).read_bytes())
     lines = [f"{key} = {name}" for key, name in DATA_FILES.items()]
-    lines += ["seed = 13", "max_ngram = 6", "train_ratio = 0.70"]
+    lines += ["seed = 13", "train_ratio = 0.70"]
     lines += ["validation_ratio = 0.15", "test_ratio = 0.15"]
     lines += [f"{key} = false" for key in BOOL_KEYS]
     (root / CONFIG).write_text("\n".join(lines) + "\n", encoding="utf-8")

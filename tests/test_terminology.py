@@ -36,6 +36,15 @@ def test_load_terminology_maps_hypertension_row(tmp_path):
     assert entries[0].entity_type == EntityType.CONDITION
 
 
+def test_a_dictionary_with_a_byte_order_mark_resolves_its_first_row(tmp_path):
+    path = tmp_path / "dict.csv"
+    path.write_bytes(
+        b"\xef\xbb\xbfhypertension,SNOMED,38341003,Hypertensive disorder,CONDITION\n"
+    )
+    (entry,) = load_terminology([path]).lookup("hypertension")
+    assert entry.code == "38341003"
+
+
 def test_empty_file_gives_empty_index(tmp_path):
     path = write_dictionary(tmp_path, ["# nothing but a comment", ""])
     index = load_terminology([path])
