@@ -79,10 +79,9 @@ def dictionary_spans(
     if count == 0 or not keys or max_ngram <= 0:
         return []
     folded = [text[s:e].casefold() for s, e in spans]
-    seps = [
-        _WHITESPACE.sub(" ", text[spans[k][1] : spans[k + 1][0]].casefold())
-        for k in range(count - 1)
-    ]
+    gaps = [text[end:start] for (_, end), (start, _) in zip(spans, spans[1:])]
+    # A one-space gap, by far the most common, needs no substitution.
+    seps = [gap if gap == " " else _WHITESPACE.sub(" ", gap.casefold()) for gap in gaps]
     prefixes = key_prefixes(keys)
 
     hits: list[tuple[int, int]] = []

@@ -58,7 +58,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _read_note_text(path: Path) -> str:
-    text = path.read_text(encoding="utf-8")
+    """A note file's text; a leading byte-order mark is not part of it."""
+    text = path.read_text(encoding="utf-8-sig")
     return text[:-1] if text.endswith("\n") else text
 
 
@@ -147,8 +148,9 @@ def _describe(shape) -> str:
 
 
 def _read_json(path: Path, shape):
-    """Parse ``path`` and ``check`` it; raises ``OSError`` or ``ValueError``."""
-    body = json.loads(path.read_text(encoding="utf-8"))
+    """Parse ``path``, with or without a leading byte-order mark, and
+    ``check`` it; raises ``OSError`` or ``ValueError``."""
+    body = json.loads(path.read_text(encoding="utf-8-sig"))
     check(body, shape)
     return body
 

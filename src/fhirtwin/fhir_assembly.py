@@ -7,21 +7,24 @@ inputs always serialize to identical bytes. ``PROFILE`` states the profile
 once, and validation, bundle order and the evaluator's required fields are
 read from it; resources failing any ERROR rule are kept out of the bundle.
 
-Resources share their coded blocks. ``assemble`` builds the
+Resources share their coded blocks. ``SharedBlocks`` builds the
 ``code``/``medicationCodeableConcept`` block once per (concept, text) and
-the ``subject`` block once per call, and every Condition holds the same
-``clinicalStatus`` and ``verificationStatus`` constants. These shared
-blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a write raises
-``TypeError``, while each still compares equal to its plain ``dict``/``list``
-form, and ``dict(block)`` or ``json.loads(json.dumps(block))`` give mutable
-copies. ``assemble`` also splits each distinct observation text once per
-call.
+the ``subject`` block once per patient, and every Condition holds the same
+``clinicalStatus`` and ``verificationStatus`` constants. A ``Pipeline``
+keeps its coded blocks for its whole life, so a corpus builds each one
+once; ``assemble`` called on its own builds them once per call. These
+shared blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a
+write raises ``TypeError``, while each still compares equal to its plain
+``dict``/``list`` form, and ``dict(block)`` or
+``json.loads(json.dumps(block))`` give mutable copies. ``assemble`` also
+splits each distinct observation text once per call.
 
 ``bundle_to_json`` writes the Bundle document straight from the
 ``FhirResource`` entries, with no dict per entry or resource, and sends
 every field value through the same renderer as ``to_json``, so its bytes
 are those of ``to_json`` over the equivalent dicts. Because a shared block
-never changes, it renders each one once per call and reuses the text.
+never changes, the text it renders to as a field value is kept on the
+block itself, so each block is rendered once however many bundles hold it.
 ``FhirResource`` and ``ValidationIssue`` are frozen slotted records.
 
 Rule codes:
@@ -66,9 +69,16 @@ def _read_only(self, *args, **kwargs):
 
 
 class ReadOnlyDict(dict):
-    """A ``dict`` whose writes raise ``TypeError``; equal to its plain copy."""
+    """A ``dict`` whose writes raise ``TypeError``; equal to its plain copy.
 
-    __slots__ = ()
+    ``_field_json`` holds the text ``bundle_to_json`` renders the block to
+    as a field value, once it has rendered it. That text stays valid only
+    while no level of the block can change, which ``_codeable_concept``
+    guarantees, and ``read_only`` for a block of dicts, lists and scalars.
+    Equality, copies and pickles ignore it.
+    """
+
+    __slots__ = ("_field_json",)
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
@@ -273,13 +283,17 @@ class SharedBlocks:
 
     ``subject`` references the patient; ``concept`` builds the coded block
     and the identity key of a (concept, text) pair on first use and then
-    returns the same pair. ``assemble`` makes one per call and the
-    synthesizer one per record.
+    returns the same pair. ``concepts`` is the (concept, text) -> (block,
+    key) dict to fill; it holds nothing of the patient, so several
+    ``SharedBlocks`` may share one. It grows by one entry per distinct
+    (concept, surface text) pair and never shrinks. ``Pipeline.twin`` makes
+    one per patient on the pipeline's dict, ``assemble`` one per call when
+    given none, and the synthesizer one per record.
     """
 
-    def __init__(self, patient: FhirResource):
+    def __init__(self, patient: FhirResource, concepts: Optional[dict] = None):
         self.subject = ReadOnlyDict(reference=f"Patient/{patient.id}")
-        self._concepts: dict = {}
+        self._concepts: dict = {} if concepts is None else concepts
 
     def concept(
         self, concept: Optional[NormalizedConcept], text: str
@@ -364,11 +378,14 @@ def assemble(
     rels: Sequence[Relation],
     patient: FhirResource,
     default_timestamp: str = DEFAULT_TIMESTAMP,
+    blocks: Optional[SharedBlocks] = None,
 ) -> list[FhirResource]:
     """Turn one note's annotated mentions and relations into resources.
 
     A mention without a concept produces a display-text resource with no
-    coding, which the validator then rejects from the bundle.
+    coding, which the validator then rejects from the bundle. ``blocks``,
+    made for ``patient``, supplies the shared blocks; without it a fresh
+    ``SharedBlocks`` serves this call alone.
     """
     timestamp = note.timestamp or default_timestamp
     mention_by_id = {a.mention.mention_id: a.mention for a in annotated}
@@ -380,7 +397,8 @@ def assemble(
         if tail is not None:
             dosages.setdefault(relation.head, []).append((tail.start, tail.text))
 
-    blocks = SharedBlocks(patient)
+    if blocks is None:
+        blocks = SharedBlocks(patient)
     observation_parts: dict[str, tuple[str, str]] = {}
     resources: list[FhirResource] = []
     for item in annotated:
@@ -618,13 +636,11 @@ def bundle_to_json(twin: TwinBundle) -> str:
     where a field named ``resourceType`` or ``id`` takes that key's place
     as ``dict.update`` would. Every value goes through ``_emit``. The
     shared code, status and subject blocks occur only as field values, so
-    each ``ReadOnlyDict`` field value is rendered once per call and its text
-    reused: keying that memo on ``id()`` is sound because such a block
-    cannot change and ``twin`` keeps it alive until the call returns.
+    a ``ReadOnlyDict`` field value is rendered on first use only: its text
+    is kept in the block's ``_field_json`` slot.
     """
     parts = ['{\n  "resourceType": "Bundle",\n  "type": ']
     emit = parts.append
-    rendered: dict[int, str] = {}
     _emit(twin.bundle_type, "\n  ", emit)
     emit(',\n  "entry": ')
     if not twin.entries:
@@ -644,11 +660,12 @@ def bundle_to_json(twin: TwinBundle) -> str:
                 emit(_encode_str(key))
                 emit(": ")
                 if type(value) is ReadOnlyDict:
-                    text = rendered.get(id(value))
-                    if text is None:
+                    try:
+                        text = value._field_json
+                    except AttributeError:
                         block: list[str] = []
                         _emit(value, _FIELD_NEWLINE, block.append)
-                        text = rendered[id(value)] = "".join(block)
+                        text = value._field_json = "".join(block)
                     emit(text)
                 else:
                     _emit(value, _FIELD_NEWLINE, emit)

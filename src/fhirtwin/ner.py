@@ -143,10 +143,17 @@ def load_patterns(path: str | Path) -> PatternSet:
 
 
 def _guarded_period(text: str, i: int) -> bool:
-    """True when the period at ``i`` should not end a sentence."""
+    """True when the period at ``i`` should not end a sentence.
+
+    A period right after five alphanumerics ends one at once: the longest
+    dot-free part of an abbreviation (``prof``) has four characters, and
+    ``casefold`` neither shortens a run nor puts a period in it.
+    """
     n = len(text)
     if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
         return True
+    if i >= 5 and text[i - 5 : i].isalnum():
+        return False
     # Take the maximal run of word characters and periods around the dot, so
     # every period inside "e.g." or "b.i.d." sees the whole abbreviation.
     k = i - 1

@@ -156,18 +156,24 @@ class NoteAnnotation:
 
 @dataclass
 class Pipeline:
-    """Loads shared inputs once and runs the stages per note or per patient."""
+    """Loads shared inputs once and runs the stages per note or per patient.
+
+    ``concept_blocks`` keeps every coded block ``twin`` has built, one per
+    distinct (concept, surface text) pair (see ``SharedBlocks``).
+    """
 
     config: PipelineConfig
     index: TerminologyIndex = field(init=False)
     patterns: PatternSet = field(init=False)
     cues: tuple[str, ...] = field(init=False)
+    concept_blocks: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
         self.index = terminology.load_terminology(cfg.dictionaries, cfg.synonyms)
         self.patterns = ner.load_patterns(cfg.patterns)
         self.cues = relations.load_cues(cfg.cues)
+        self.concept_blocks = {}
 
     def annotate(self, note: ClinicalNote) -> NoteAnnotation:
         cfg = self.config
@@ -189,6 +195,7 @@ class Pipeline:
         """Build one patient's bundle from all of their notes."""
         cfg = self.config
         patient = fhir_assembly.build_patient(patient_id)
+        blocks = fhir_assembly.SharedBlocks(patient, self.concept_blocks)
         annotations = [self.annotate(n) for n in sorted(notes, key=lambda n: n.note_id)]
         resources: list[FhirResource] = []
         for annotation in annotations:
@@ -199,6 +206,7 @@ class Pipeline:
                     annotation.relations,
                     patient,
                     default_timestamp=cfg.default_timestamp,
+                    blocks=blocks,
                 )
             )
         if cfg.disable_validation:

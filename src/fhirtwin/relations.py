@@ -9,6 +9,9 @@ Two rules produce relations between distinct mentions:
 
 Observations that carry their value inline ("BP 145/92") need no relation:
 assembly reads the value straight off the span.
+
+Each cue becomes a case-insensitive whole-word regex. The regexes are
+compiled once per distinct tuple of cues and reused by every later call.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,6 +54,13 @@ _START = attrgetter("start")
 _END = attrgetter("end")
 
 
+@lru_cache(maxsize=16)
+def _cue_patterns(cues: tuple[str, ...]) -> tuple[re.Pattern, ...]:
+    return tuple(
+        re.compile(r"\b" + re.escape(cue) + r"\b", re.IGNORECASE) for cue in cues
+    )
+
+
 def extract_relations(
     annotated: Sequence[AnnotatedMention],
     sentences: Sequence[Sentence],
@@ -70,9 +81,7 @@ def extract_relations(
     for mention in mentions:
         by_sentence.setdefault(mention.sentence_index, []).append(mention)
 
-    cue_patterns = [
-        re.compile(r"\b" + re.escape(cue) + r"\b", re.IGNORECASE) for cue in cues
-    ]
+    cue_patterns = _cue_patterns(tuple(cues))
 
     start_of = {m.mention_id: m.start for m in mentions}
     found: dict[Relation, tuple[int, int, str]] = {}

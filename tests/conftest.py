@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -50,6 +53,21 @@ def patterns(pipeline):
 @pytest.fixture(scope="session")
 def tables_dir():
     return default_data_dir() / "tables"
+
+
+@pytest.fixture(scope="session")
+def benchmark_cases(tmp_path_factory):
+    """The seed-3 ``short_notes`` and ``long_notes`` passes of ``perfbench``,
+    as lists of ``workloads.Case`` by workload name."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import harness
+
+    return {
+        name: harness.build_inputs(
+            harness.WORKLOADS[name], 3, tmp_path_factory.mktemp(name)
+        ).cases
+        for name in ("short_notes", "long_notes")
+    }
 
 
 def tree(directory):

@@ -12,11 +12,14 @@ its sentence. The whitespace, token and sentence oracles are the
 per-character loops that the library replaced with one regex each:
 ``oracle_collapse_whitespace``, ``oracle_token_spans`` (which joins runs
 across ``.`` or ``/`` only between ``str.isdecimal`` digits) and
-``oracle_segment`` (which shares the library's period guard and its
-``Sentence`` record). The lookup oracles resolve every query afresh from the
-index's two maps, where the library memoises each hit on the index. The
-bundle oracle builds the plain dict document that ``to_json`` renders,
-where the library writes each entry straight from its resource. They
+``oracle_segment`` (with ``oracle_guarded_period``, the period guard
+without its early exit, and the library's ``Sentence`` record).
+``ORACLE_PATTERNS`` are the bundled patterns as first written, each
+starting with ``\\b`` and listing its names flat. The lookup oracles
+resolve every query afresh from the index's two maps, where the library
+memoises each hit on the index. The bundle oracle builds the plain dict
+document that ``to_json`` renders, where the library writes each entry
+straight from its resource, rendering every block afresh. They
 share only definitions with the library (the metric definitions, the
 allowed code systems, the overlap tie-break priority, the relation types,
 the surface normalization), never its code paths.
@@ -28,7 +31,7 @@ import itertools
 import re
 
 from fhirtwin.fhir_assembly import FhirResource, TwinBundle
-from fhirtwin.ner import _ETYPE_PRIORITY, Sentence, _guarded_period
+from fhirtwin.ner import _ETYPE_PRIORITY, ABBREVIATIONS, Sentence
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.terminology import SYSTEM_PRECEDENCE, EntityType, normalize_surface
@@ -228,6 +231,22 @@ def oracle_token_spans(text):
     return spans
 
 
+def oracle_guarded_period(text, i):
+    """True when the period at ``i`` should not end a sentence: it sits
+    between two digits, or the run of alphanumerics and periods around it
+    is an abbreviation."""
+    n = len(text)
+    if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+        return True
+    k = i - 1
+    while k >= 0 and (text[k].isalnum() or text[k] == "."):
+        k -= 1
+    j = i + 1
+    while j < n and (text[j].isalnum() or text[j] == "."):
+        j += 1
+    return text[k + 1 : j].casefold().strip(".") in ABBREVIATIONS
+
+
 def oracle_segment(text):
     """Sentences found one character at a time: every boundary first, then
     one strip pass over the chunks between them."""
@@ -240,7 +259,7 @@ def oracle_segment(text):
             boundaries.append(i)
             i += 1
         elif ch in ".!?":
-            if ch == "." and _guarded_period(text, i):
+            if ch == "." and oracle_guarded_period(text, i):
                 i += 1
                 continue
             while i < n and text[i] in ".!?":
@@ -263,6 +282,36 @@ def oracle_segment(text):
             )
         seg_start = boundary + 1 if boundary < n and text[boundary] == "\n" else boundary
     return sentences
+
+
+#: The bundled patterns by name, as first written: every one starts with
+#: ``\b``, and OBS_VALUE lists its names flat. Compiled case-insensitive.
+ORACLE_PATTERNS = {
+    name: re.compile(regex, re.IGNORECASE)
+    for name, regex in (
+        (
+            "DOSE",
+            r"\b\d+(?:\.\d+)?\s?(?:mcg|mg|g|ml|units?)\b(?:\s+(?:once daily|twice daily"
+            r"|three times daily|daily|nightly|at bedtime|weekly|every \d+ hours"
+            r"|\dx/day|b\.i\.d\.?|t\.i\.d\.?|q\.i\.d\.?|q\.d\.?|prn|as needed))?",
+        ),
+        (
+            "OBS_VALUE",
+            r"\b(?:blood pressure|bp|heart rate|hr|respiratory rate|temperature"
+            r"|oxygen saturation|o2 sat|spo2|glucose|hba1c|a1c|creatinine|sodium"
+            r"|potassium|hemoglobin|wbc|platelets|cholesterol|ldl|hdl|triglycerides"
+            r"|bun|bilirubin|albumin|lactate|troponin|bnp|inr|weight|bmi"
+            r"|ejection fraction)(?:\s*:\s*|\s+)\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+            r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min"
+            r"|bpm|lbs?|kg|cm|sec|%|f|c))?(?!\w)",
+        ),
+        ("DATE_ISO", r"\b\d{4}-\d{2}-\d{2}\b"),
+        ("DATE_US", r"\b\d{1,2}/\d{1,2}/\d{2,4}\b"),
+        ("DURATION", r"\b(?:for|over|since) \d+ (?:days?|weeks?|months?|years?)\b"),
+        ("AGO", r"\b\d+ (?:days?|weeks?|months?|years?) ago\b"),
+        ("RELATIVE", r"\b(?:today|yesterday|this morning|last night)\b"),
+    )
+}
 
 
 def oracle_containing_sentence(sentences, start, end):

@@ -237,6 +237,56 @@ def test_duplicate_note_ids_keep_the_first_note(tmp_path, caplog):
     assert read_json(out / "annotations" / "n2.json")["mentions"]
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("command", ["extract", "twin"])
+def test_notes_read_the_same_with_a_byte_order_mark(tmp_path, caplog, command):
+    """A ``.txt`` note, a ``.json`` note and a manifest, each saved with a
+    byte-order mark, give the outputs of the same files without one."""
+    outputs = []
+    for bom in (b"", BOM):
+        root = tmp_path / ("bom" if bom else "plain")
+        notes = root / "notes"
+        notes.mkdir(parents=True)
+        files = {
+            "manifest.json": {"notes": [{"note_id": "a", "patient_id": "p1"}]},
+            "notes/a.txt": FIG1_TEXT + "\n",
+            "notes/b.json": {"note_id": "b", "patient_id": "p2", "text": FIG1_TEXT},
+        }
+        for name, body in files.items():
+            text = body if isinstance(body, str) else json.dumps(body)
+            (root / name).write_bytes(bom + text.encode("utf-8"))
+        out = root / "out"
+        assert main([command, str(notes), "--out", str(out)]) == 0
+        outputs.append(tree(out))
+    assert outputs[0] == outputs[1]
+    assert "skipping" not in caplog.text
+    if command == "extract":
+        for name in ("a.json", "b.json"):
+            body = read_json(tmp_path / "bom/out/annotations" / name)
+            assert (12, 20, "diabetes") in [
+                (m["start"], m["end"], m["text"]) for m in body["mentions"]
+            ]
+
+
+def test_evaluate_reads_a_corpus_saved_with_byte_order_marks(corpus, tmp_path):
+    """Manifest, notes, gold and reference files each read the same with a
+    leading byte-order mark."""
+    marked = tmp_path / "marked"
+    shutil.copytree(corpus, marked)
+    for path in marked.rglob("*"):
+        if path.is_file():
+            path.write_bytes(BOM + path.read_bytes())
+    reports = []
+    for root in (corpus, marked):
+        out = tmp_path / f"eval_{root.name}"
+        assert main(["evaluate", str(root), "--out", str(out)]) == 0
+        reports.append(tree(out))
+    assert reports[0] == reports[1]
+    assert read_json(tmp_path / "eval_marked" / "report.json")["ner_f1"] == 1.0
+
+
 def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
     notes = tmp_path / "notes"
     notes.mkdir()

@@ -500,6 +500,38 @@ def test_copies_of_shared_blocks_are_mutable(pipeline):
             assert clone == block and type(clone) is type(block)
 
 
+def test_blocks_keep_their_text_and_behave_as_before(pipeline):
+    note_text = TABLE3_TEXT + " Lisinopril 10mg daily."
+    patient, resources = build_resources(pipeline, note_text)
+    twin = bundle(patient, resources, validate(resources, patient))
+    text = bundle_to_json(twin)
+    blocks = {
+        id(value): value
+        for entry in twin.entries
+        for value in entry.fields.values()
+        if type(value) is ReadOnlyDict
+    }
+    assert len(blocks) == 7  # subject, two statuses, four codes
+    for block in blocks.values():
+        cached = block._field_json
+        plain = json.loads(json.dumps(block))
+        assert block == plain and plain == block and not block != plain
+        assert type(dict(block)) is dict and dict(block) == block
+        assert block.__reduce__() == (ReadOnlyDict, (plain,))
+        for clone in (
+            copy.copy(block),
+            copy.deepcopy(block),
+            pickle.loads(pickle.dumps(block)),
+        ):
+            assert clone == block and type(clone) is ReadOnlyDict
+            assert not hasattr(clone, "_field_json")
+        for write in _writes(block):
+            with pytest.raises(TypeError):
+                write()
+        assert block == plain and block._field_json is cached
+    assert bundle_to_json(twin) == text == to_json(bundle_to_dict(twin))
+
+
 @pytest.mark.parametrize("key", [1, 1.5, True, None])
 def test_to_json_rejects_non_string_keys(key):
     with pytest.raises(TypeError):

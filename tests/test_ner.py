@@ -9,6 +9,7 @@ from fhirtwin.ner import (
     _ETYPE_PRIORITY,
     ClinicalNote,
     _containing_sentence,
+    _guarded_period,
     _resolve_overlaps,
     extract_entities,
     load_patterns,
@@ -18,7 +19,9 @@ from fhirtwin.terminology import EntityType, load_terminology
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, scanner_text, write_dictionary
 from oracles import (
+    ORACLE_PATTERNS,
     oracle_containing_sentence,
+    oracle_guarded_period,
     oracle_resolve_overlaps,
     oracle_segment,
 )
@@ -86,6 +89,33 @@ def test_segment_exclamation_and_question():
 @given(scanner_text)
 def test_segment_matches_the_per_character_loop(text):
     assert segment(text) == oracle_segment(text)
+
+
+#: Text around periods: long and short alphanumeric runs, abbreviations in
+#: any case, and letters that ``casefold`` turns into two (``ß``, ``ﬁ``,
+#: ``İ``) or into an ASCII letter (``K``, ``ſ``).
+period_text = st.lists(
+    st.one_of(
+        scanner_text,
+        st.sampled_from(
+            ["Prof", "PROFS", "xprof", "e.g", "Dr", "ß", "ﬁ", "İ", "K", "ſ"]
+        ),
+        st.text("ab1.", max_size=8),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=500)
+@example("Professor. Smith")
+@example("xprof.")
+@example("ßprof.")
+@example("12345.6")
+@given(period_text)
+def test_period_guard_matches_the_full_word_scan(text):
+    for i, ch in enumerate(text):
+        if ch == ".":
+            assert _guarded_period(text, i) == oracle_guarded_period(text, i), i
 
 
 def test_sentences_ordered_and_disjoint():
@@ -314,3 +344,50 @@ def test_pattern_file_rejects_bad_lines(tmp_path):
     path.write_text("ONLY_TWO\tDOSAGE\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_patterns(path)
+
+
+# ---------------------------------------------------------------------------
+# Bundled patterns against the patterns as first written
+# ---------------------------------------------------------------------------
+
+#: Text for the patterns: digits, cased letters, the separators they use,
+#: the four letters with special ``IGNORECASE`` matches, and the words the
+#: patterns look for, in any case.
+pattern_text = st.lists(
+    st.one_of(
+        st.sampled_from(list("0123456789/-.: \nİıſKabgmxz_")),
+        st.sampled_from(
+            ["BP", "bp", "hr", "Bun", "a1c", "hba1c", "weight", "mg", "mmHg",
+             "%", "days", "Years", " ago", "for", "since", "today", "b.i.d.",
+             "daily", "Twice daily"]
+        ),
+    ),
+    max_size=30,
+).map("".join)
+
+
+def _spans(regex, text):
+    return [match.span() for match in regex.finditer(text)]
+
+
+@settings(max_examples=500)
+@example("12 days ago 3/4/2023 x1 BP 1/2 2023-01-02")
+@example("0mg")
+@given(pattern_text)
+def test_bundled_patterns_match_as_first_written(patterns, text):
+    bundled = {pattern.name: pattern.regex for pattern in patterns.patterns}
+    assert bundled.keys() == ORACLE_PATTERNS.keys()
+    for name, regex in ORACLE_PATTERNS.items():
+        assert _spans(bundled[name], text) == _spans(regex, text), name
+
+
+@pytest.mark.parametrize("workload", ["short_notes", "long_notes"])
+def test_bundled_patterns_match_as_first_written_on_benchmark_notes(
+    patterns, benchmark_cases, workload
+):
+    texts = [note.text for case in benchmark_cases[workload] for note in case.notes]
+    for pattern in patterns.patterns:
+        regex = ORACLE_PATTERNS[pattern.name]
+        assert [_spans(pattern.regex, t) for t in texts] == [
+            _spans(regex, t) for t in texts
+        ], pattern.name

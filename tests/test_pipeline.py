@@ -13,15 +13,21 @@ from fhirtwin.fhir_assembly import (
     Severity,
     ValidationIssue,
     bundle_to_json,
+    to_json,
 )
 from fhirtwin.ner import ClinicalNote, EntityMention, Sentence
-from fhirtwin.normalizer import AnnotatedMention, NormalizedConcept
+from fhirtwin.normalizer import (
+    AnnotatedMention,
+    NormalizedConcept,
+    split_observation_text,
+)
 from fhirtwin.pipeline import Pipeline, build_config, load_config_file
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
 from fhirtwin.terminology import CodeSystem, EntityType
 
 from conftest import TABLE3_TEXT, write_dictionary
+from oracles import bundle_to_dict
 
 
 def test_build_config_uses_bundled_defaults(config):
@@ -192,7 +198,8 @@ def test_missing_input_file_fails_at_startup(config):
 def test_warm_pipeline_twins_like_a_cold_one(config, tables_dir):
     """The index memo and the shared blocks never leak from one note into
     another: every note's bundle after twinning the whole corpus equals the
-    bundle of a pipeline that has seen nothing else."""
+    bundle of a pipeline that has seen nothing else, and the plain-dict
+    oracle's, however often it is rendered."""
     warm = Pipeline(config)
     templates = load_templates(config.templates)
     notes = [
@@ -205,7 +212,27 @@ def test_warm_pipeline_twins_like_a_cold_one(config, tables_dir):
     for note in notes:
         cold, _, _ = Pipeline(config).twin(note.patient_id, [note])
         again, _, _ = warm.twin(note.patient_id, [note])
-        assert bundle_to_json(again) == bundle_to_json(cold), note.note_id
+        expected = to_json(bundle_to_dict(again))
+        assert bundle_to_json(again) == bundle_to_json(cold) == expected, note.note_id
+        assert bundle_to_json(again) == expected
+
+
+def test_coded_blocks_are_bounded_by_concept_and_text(config, benchmark_cases):
+    """The pipeline keeps one coded block per distinct (concept, text) pair
+    it has assembled, however many notes repeat the pair."""
+    pipeline = Pipeline(config)
+    pairs = set()
+    for _ in range(2):
+        for case in benchmark_cases["short_notes"]:
+            _, _, annotations = pipeline.twin(case.patient_id, case.notes)
+            for item in (a for annotation in annotations for a in annotation.annotated):
+                etype, text = item.mention.etype, item.mention.text
+                if etype == EntityType.OBSERVATION:
+                    text, _ = split_observation_text(text)
+                if etype not in (EntityType.DOSAGE, EntityType.TEMPORAL):
+                    pairs.add((item.concept, text))
+    assert set(pipeline.concept_blocks) == pairs
+    assert len(pairs) < len(benchmark_cases["short_notes"]) / 5
 
 
 _MENTION = EntityMention("n1:0-3", "n1", 0, 3, "flu", EntityType.CONDITION, 0)
