@@ -448,7 +448,7 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
     Raises EmptyCorpusError when there is no manifest or it lists no notes,
     and CorpusFileError naming the first file that is missing, is not of
     its shape, or whose gold ``note_id`` or reference Patient identifier is
-    not the manifest's.
+    not the manifest's, and naming the manifest when it lists a note twice.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
@@ -456,6 +456,11 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
         raise EmptyCorpusError(f"no manifest.json under {corpus_dir}")
     with _corpus_file(manifest_path):
         entries = _read_json(manifest_path, _CORPUS_MANIFEST).get("notes", [])
+        listed: set[str] = set()
+        for entry in entries:
+            if entry["note_id"] in listed:
+                raise ValueError(f"note {entry['note_id']!r} is listed twice")
+            listed.add(entry["note_id"])
     cases: list[CorpusCase] = []
     for entry in entries:
         note_id, patient_id = entry["note_id"], entry["patient_id"]

@@ -3,9 +3,11 @@
 Extraction and relation scores are micro-averaged over the corpus with
 exact matching: a predicted mention counts only when (start, end, type)
 all agree with a gold mention of the same note, and a predicted relation
-only when (type, head span, tail span) agree. Completeness and
-interoperability compare generated bundles against reference bundles
-field by field, then macro-average per patient.
+only when (type, head span, tail span) agree. One comparison of a
+patient's generated bundle against their reference bundle, pairing
+resources once and fingerprinting each required field once, yields both
+bundle metrics, completeness and interoperability; the corpus scores
+macro-average them per patient.
 
 Zero-denominator conventions are fixed so every report is total:
 precision is 0 with no predictions, recall is 0 with no gold, and F1 is 0
@@ -15,7 +17,7 @@ whenever precision + recall is 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from fhirtwin.fhir_assembly import PROFILE, FhirResource, TwinBundle
@@ -215,14 +217,6 @@ def _scored_resources(twin: TwinBundle) -> list[FhirResource]:
     return [r for r in twin.entries if r.resource_type != "Patient"]
 
 
-def _check_same_patient(generated: TwinBundle, reference: TwinBundle) -> None:
-    if generated.patient_identifier() != reference.patient_identifier():
-        raise PatientMismatchError(
-            f"bundles concern different patients: "
-            f"{generated.patient_identifier()!r} vs {reference.patient_identifier()!r}"
-        )
-
-
 def match_resources(
     generated: Sequence[FhirResource], reference: Sequence[FhirResource]
 ) -> list[tuple[FhirResource, FhirResource]]:
@@ -243,56 +237,59 @@ def match_resources(
 def _agreement(pair: tuple[FhirResource, FhirResource]) -> tuple[int, int]:
     gen_r, ref_r = pair
     required = REQUIRED_FIELDS[ref_r.resource_type]
-    equal = sum(
-        1
-        for f in required
-        if _field_fingerprint(gen_r, f) == _field_fingerprint(ref_r, f)
-        and _field_fingerprint(ref_r, f) is not None
-    )
+    equal = 0
+    for f in required:
+        expected = _field_fingerprint(ref_r, f)
+        if expected is not None and _field_fingerprint(gen_r, f) == expected:
+            equal += 1
     return equal, len(required)
 
 
-def semantic_completeness(generated: TwinBundle, reference: TwinBundle) -> float:
-    """Fraction of reference-required fields the generated bundle reproduces.
+def compare_bundles(
+    generated: TwinBundle, reference: TwinBundle
+) -> tuple[float, float]:
+    """Score ``generated`` against ``reference``: (completeness, interoperability).
 
-    Unmatched reference resources contribute all of their required fields
-    to the denominator.
+    Completeness is the fraction of reference-required fields the generated
+    bundle reproduces; unmatched reference resources contribute all of their
+    required fields to the denominator, and a reference with none scores 1.
+
+    Interoperability is 0.5 * F1(matched resources) + 0.5 * mean field
+    agreement over the matched pairs. Both-empty bundles score 1; one-sided
+    empty bundles score 0.
     """
-    _check_same_patient(generated, reference)
-    ref_resources = _scored_resources(reference)
-    denominator = sum(len(REQUIRED_FIELDS[r.resource_type]) for r in ref_resources)
-    if denominator == 0:
-        return 1.0
-    pairs = match_resources(_scored_resources(generated), ref_resources)
-    numerator = sum(_agreement(pair)[0] for pair in pairs)
-    return numerator / denominator
-
-
-def interoperability_score(generated: TwinBundle, reference: TwinBundle) -> float:
-    """Composite of resource-level match F1 and per-pair field agreement.
-
-    score = 0.5 * F1(matched resources) + 0.5 * mean field agreement.
-    Both-empty bundles score 1; one-sided empty bundles score 0.
-    """
-    _check_same_patient(generated, reference)
+    if generated.patient_identifier() != reference.patient_identifier():
+        raise PatientMismatchError(
+            f"bundles concern different patients: "
+            f"{generated.patient_identifier()!r} vs {reference.patient_identifier()!r}"
+        )
     gen_resources = _scored_resources(generated)
     ref_resources = _scored_resources(reference)
-    if not gen_resources and not ref_resources:
-        return 1.0
-    if not gen_resources or not ref_resources:
-        return 0.0
     pairs = match_resources(gen_resources, ref_resources)
-    matched = len(pairs)
-    _, _, f1_match = _prf(
-        matched, len(gen_resources) - matched, len(ref_resources) - matched
-    )
-    if pairs:
-        mean_agreement = sum(
-            equal / total for equal, total in map(_agreement, pairs)
-        ) / len(pairs)
+    agreements = [_agreement(pair) for pair in pairs]
+
+    denominator = sum(len(REQUIRED_FIELDS[r.resource_type]) for r in ref_resources)
+    if denominator == 0:
+        completeness = 1.0
     else:
-        mean_agreement = 0.0
-    return 0.5 * f1_match + 0.5 * mean_agreement
+        completeness = sum(equal for equal, _ in agreements) / denominator
+
+    if not gen_resources and not ref_resources:
+        interoperability = 1.0
+    elif not gen_resources or not ref_resources:
+        interoperability = 0.0
+    else:
+        matched = len(pairs)
+        _, _, f1_match = _prf(
+            matched, len(gen_resources) - matched, len(ref_resources) - matched
+        )
+        mean_agreement = (
+            sum(equal / total for equal, total in agreements) / matched
+            if matched
+            else 0.0
+        )
+        interoperability = 0.5 * f1_match + 0.5 * mean_agreement
+    return completeness, interoperability
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +318,7 @@ class EvaluationReport:
     per_patient: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "ner_precision": self.ner_precision,
-            "ner_recall": self.ner_recall,
-            "ner_f1": self.ner_f1,
-            "re_precision": self.re_precision,
-            "re_recall": self.re_recall,
-            "re_f1": self.re_f1,
-            "semantic_completeness": self.semantic_completeness,
-            "interoperability": self.interoperability,
-            "per_note": list(self.per_note),
-            "per_patient": list(self.per_patient),
-        }
+        return asdict(self)
 
     def summary_row(self) -> str:
         """Tab-separated NER / RE / Comp. / Interop. row with a header line."""
@@ -366,15 +352,23 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
         by_patient.setdefault(case.note.patient_id, []).append(case)
 
     annotations_by_note: dict[str, NoteAnnotation] = {}
-    bundles: dict[str, TwinBundle] = {}
+    per_patient: list[dict] = []
     for patient_id in sorted(by_patient):
         patient_cases = sorted(by_patient[patient_id], key=lambda c: c.note.note_id)
         twin, _, annotations = pipeline.twin(
             patient_id, [c.note for c in patient_cases]
         )
-        bundles[patient_id] = twin
         for annotation in annotations:
             annotations_by_note[annotation.note.note_id] = annotation
+        reference = by_patient[patient_id][0].reference
+        completeness, interop = compare_bundles(twin, reference)
+        per_patient.append(
+            {
+                "patient_id": patient_id,
+                "completeness": completeness,
+                "interoperability": interop,
+            }
+        )
 
     for case in cases:
         note_id = case.note.note_id
@@ -399,23 +393,7 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
             }
         )
 
-    per_patient: list[dict] = []
-    completeness_values: list[float] = []
-    interop_values: list[float] = []
-    for patient_id in sorted(by_patient):
-        reference = by_patient[patient_id][0].reference
-        completeness = semantic_completeness(bundles[patient_id], reference)
-        interop = interoperability_score(bundles[patient_id], reference)
-        completeness_values.append(completeness)
-        interop_values.append(interop)
-        per_patient.append(
-            {
-                "patient_id": patient_id,
-                "completeness": completeness,
-                "interoperability": interop,
-            }
-        )
-
+    patients = len(per_patient)
     ner_p, ner_r, ner_f = ner_f1(predicted_mentions, gold_mentions)
     if not config.disable_relations:
         re_p, re_r, re_f = relation_f1(predicted_relations, gold_relations)
@@ -429,8 +407,8 @@ def evaluate_corpus(cases: Sequence[CorpusCase], pipeline: Pipeline) -> Evaluati
         re_precision=re_p,
         re_recall=re_r,
         re_f1=re_f,
-        semantic_completeness=sum(completeness_values) / len(completeness_values),
-        interoperability=sum(interop_values) / len(interop_values),
+        semantic_completeness=sum(r["completeness"] for r in per_patient) / patients,
+        interoperability=sum(r["interoperability"] for r in per_patient) / patients,
         per_note=tuple(per_note),
         per_patient=tuple(per_patient),
     )

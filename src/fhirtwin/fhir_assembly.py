@@ -287,8 +287,8 @@ class SharedBlocks:
     key) dict to fill; it holds nothing of the patient, so several
     ``SharedBlocks`` may share one. It grows by one entry per distinct
     (concept, surface text) pair and never shrinks. ``Pipeline.twin`` makes
-    one per patient on the pipeline's dict, ``assemble`` one per call when
-    given none, and the synthesizer one per record.
+    one per patient on the pipeline's dict, and the synthesizer one per
+    record.
     """
 
     def __init__(self, patient: FhirResource, concepts: Optional[dict] = None):
@@ -376,16 +376,14 @@ def assemble(
     note: ClinicalNote,
     annotated: Sequence[AnnotatedMention],
     rels: Sequence[Relation],
-    patient: FhirResource,
+    blocks: SharedBlocks,
     default_timestamp: str = DEFAULT_TIMESTAMP,
-    blocks: Optional[SharedBlocks] = None,
 ) -> list[FhirResource]:
     """Turn one note's annotated mentions and relations into resources.
 
     A mention without a concept produces a display-text resource with no
     coding, which the validator then rejects from the bundle. ``blocks``,
-    made for ``patient``, supplies the shared blocks; without it a fresh
-    ``SharedBlocks`` serves this call alone.
+    made for the note's patient, supplies the shared blocks.
     """
     timestamp = note.timestamp or default_timestamp
     mention_by_id = {a.mention.mention_id: a.mention for a in annotated}
@@ -397,8 +395,6 @@ def assemble(
         if tail is not None:
             dosages.setdefault(relation.head, []).append((tail.start, tail.text))
 
-    if blocks is None:
-        blocks = SharedBlocks(patient)
     observation_parts: dict[str, tuple[str, str]] = {}
     resources: list[FhirResource] = []
     for item in annotated:

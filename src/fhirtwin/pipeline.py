@@ -1,14 +1,15 @@
 """Pipeline configuration and the staged note-to-bundle runner.
 
-A PipelineConfig names every input file the stages need plus the ablation
-flags, which compose independently. The paper's naive baseline is
-normalization and relation extraction both disabled.
+A PipelineConfig names every input file the stages need, each the bundled
+one unless set, plus the ablation flags, which compose independently. The
+paper's naive baseline is normalization and relation extraction both
+disabled.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,13 +30,20 @@ def default_data_dir() -> Path:
     return Path(str(importlib.resources.files("fhirtwin").joinpath("data")))
 
 
+def _bundled(name: str):
+    """A path field that defaults to the bundled data file ``name``."""
+    return field(default_factory=lambda: default_data_dir() / name)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    dictionaries: tuple[Path, ...] = ()
-    synonyms: Optional[Path] = None
-    patterns: Optional[Path] = None
-    cues: Optional[Path] = None
-    templates: Optional[Path] = None
+    dictionaries: tuple[Path, ...] = field(
+        default_factory=lambda: (default_data_dir() / "terminology.csv",)
+    )
+    synonyms: Path = _bundled("synonyms.csv")
+    patterns: Path = _bundled("patterns.tsv")
+    cues: Path = _bundled("cues.txt")
+    templates: Path = _bundled("templates.tsv")
     disable_normalization: bool = False
     disable_relations: bool = False
     disable_validation: bool = False
@@ -43,18 +51,6 @@ class PipelineConfig:
     out_dir: Path = Path("out")
     split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     seed: int = 13
-
-    def resolved(self) -> "PipelineConfig":
-        """Fill unset file paths from the bundled data directory."""
-        data = default_data_dir()
-        return replace(
-            self,
-            dictionaries=self.dictionaries or (data / "terminology.csv",),
-            synonyms=self.synonyms if self.synonyms is not None else data / "synonyms.csv",
-            patterns=self.patterns or data / "patterns.tsv",
-            cues=self.cues or data / "cues.txt",
-            templates=self.templates or data / "templates.tsv",
-        )
 
 
 class BadRatiosError(Exception):
@@ -102,6 +98,8 @@ def load_config_file(path: str | Path) -> dict:
             parsed["dictionaries"] = tuple(
                 respath(part.strip()) for part in value.split(",") if part.strip()
             )
+            if not parsed["dictionaries"]:
+                raise ValueError(f"{path}: {key}: no file named")
         elif key in ("synonyms", "patterns", "cues", "templates"):
             parsed[key] = respath(value)
         elif key == "out":
@@ -144,7 +142,7 @@ def build_config(
     if config_path is not None:
         values.update(load_config_file(config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return PipelineConfig(**values).resolved()
+    return PipelineConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -204,9 +202,8 @@ class Pipeline:
                     annotation.note,
                     annotation.annotated,
                     annotation.relations,
-                    patient,
+                    blocks,
                     default_timestamp=cfg.default_timestamp,
-                    blocks=blocks,
                 )
             )
         if cfg.disable_validation:

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import CorpusCase, GoldAnnotations, GoldMention, GoldRelation
@@ -148,13 +148,15 @@ def render_template(template: str, values: dict[str, str]) -> tuple[str, dict]:
 class _NoteBuilder:
     text: str = ""
 
-    def add_sentence(self, sentence: str) -> int:
-        """Append a sentence; returns its base offset in the note."""
+    def add(self, template: str, values: dict[str, str]) -> dict[str, tuple[int, int]]:
+        """Render ``template`` as the note's next sentence; returns each
+        filled slot's span in the note."""
         if self.text:
             self.text += " "
         base = len(self.text)
+        sentence, spans = render_template(template, values)
         self.text += sentence
-        return base
+        return {name: (base + s, base + e) for name, (s, e) in spans.items()}
 
 
 def _resolve(name: str, etype: EntityType, index: TerminologyIndex):
@@ -169,12 +171,11 @@ def synthesize(
     templates: TemplateSet,
     index: TerminologyIndex,
     default_timestamp: str = DEFAULT_TIMESTAMP,
-    note_id: Optional[str] = None,
 ) -> CorpusCase:
     """Render one record into a note with aligned gold and reference bundle."""
     if not (record.diagnoses or record.medications or record.labs):
         raise ValueError(f"record {record.patient_id!r} has no items")
-    note_id = note_id or f"{record.patient_id}-note"
+    note_id = f"{record.patient_id}-note"
 
     lab_times = sorted(lab.timestamp for lab in record.labs if lab.timestamp)
     timestamp = lab_times[0] if lab_times else default_timestamp
@@ -203,36 +204,23 @@ def synthesize(
     ]
     if len(diagnoses) >= 2:
         (first, first_concept), (second, second_concept) = diagnoses[0], diagnoses[1]
-        sentence, spans = render_template(
+        spans = builder.add(
             templates.history, {"a": first.description, "b": second.description}
         )
-        base = builder.add_sentence(sentence)
-        add_condition(
-            first.description,
-            first_concept,
-            (base + spans["a"][0], base + spans["a"][1]),
-        )
-        add_condition(
-            second.description,
-            second_concept,
-            (base + spans["b"][0], base + spans["b"][1]),
-        )
+        add_condition(first.description, first_concept, spans["a"])
+        add_condition(second.description, second_concept, spans["b"])
         rest = diagnoses[2:]
     else:
         rest = diagnoses
     for diagnosis, concept in rest:
-        sentence, spans = render_template(
-            templates.diagnosis, {"description": diagnosis.description}
-        )
-        base = builder.add_sentence(sentence)
-        span = (base + spans["description"][0], base + spans["description"][1])
-        add_condition(diagnosis.description, concept, span)
+        spans = builder.add(templates.diagnosis, {"description": diagnosis.description})
+        add_condition(diagnosis.description, concept, spans["description"])
 
     for medication in record.medications:
         concept = _resolve(medication.drug, EntityType.MEDICATION, index)
         if concept is None:
             continue
-        sentence, spans = render_template(
+        spans = builder.add(
             templates.medication,
             {
                 "drug": medication.drug,
@@ -240,8 +228,7 @@ def synthesize(
                 "frequency": medication.frequency,
             },
         )
-        base = builder.add_sentence(sentence)
-        drug_span = (base + spans["drug"][0], base + spans["drug"][1])
+        drug_span = spans["drug"]
         gold_mentions.append(
             GoldMention(
                 drug_span[0], drug_span[1], EntityType.MEDICATION,
@@ -251,8 +238,8 @@ def synthesize(
         dosage_parts = [spans[k] for k in ("dose", "frequency") if k in spans]
         if dosage_parts:
             dosage_span = (
-                base + min(s for s, _ in dosage_parts),
-                base + max(e for _, e in dosage_parts),
+                min(s for s, _ in dosage_parts),
+                max(e for _, e in dosage_parts),
             )
             gold_mentions.append(
                 GoldMention(
@@ -281,14 +268,13 @@ def synthesize(
         concept = _resolve(lab.test, EntityType.OBSERVATION, index)
         if concept is None:
             continue
-        sentence, spans = render_template(
+        spans = builder.add(
             templates.lab, {"test": lab.test, "value": lab.value, "unit": lab.unit}
         )
-        base = builder.add_sentence(sentence)
         value_parts = [spans[k] for k in ("value", "unit") if k in spans]
         obs_span = (
-            base + spans["test"][0],
-            base + (max(e for _, e in value_parts) if value_parts else spans["test"][1]),
+            spans["test"][0],
+            max(e for _, e in value_parts) if value_parts else spans["test"][1],
         )
         gold_mentions.append(
             GoldMention(
@@ -297,7 +283,7 @@ def synthesize(
             )
         )
         value_text = (
-            builder.text[base + min(s for s, _ in value_parts) : obs_span[1]]
+            builder.text[min(s for s, _ in value_parts) : obs_span[1]]
             if value_parts
             else ""
         )
@@ -407,8 +393,8 @@ def _bucket_counts(total: int, ratios: Sequence[float]) -> list[int]:
 
 def split_corpus(
     cases: Sequence[CorpusCase],
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    seed: int = 13,
+    ratios: tuple[float, float, float],
+    seed: int,
 ) -> tuple[list[CorpusCase], list[CorpusCase], list[CorpusCase]]:
     """Deterministic patient-disjoint train/validation/test partition.
 

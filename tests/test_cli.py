@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -538,6 +539,20 @@ def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, c
     assert not out.exists()
 
 
+def test_evaluate_rejects_a_note_listed_twice(corpus, tmp_path, caplog):
+    manifest_path = corpus / "manifest.json"
+    manifest = read_json(manifest_path)
+    manifest["notes"].append(manifest["notes"][0])
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert (
+        f"bad corpus file {manifest_path}: ValueError: note 'p001-note' is listed twice"
+        in caplog.text
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "resource_type, field, value, reason",
     [
@@ -731,6 +746,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
             "{config}: disable_relations: 'ture' is not 1/0, true/false",
         ),
         ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
+        ({}, "dictionary =\n", "{config}: dictionary: no file named"),
         (
             {"d.csv": "hypertension,SNOMED,38341003\n"},
             "dictionary = d.csv\n",
@@ -774,6 +790,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "config_negative_ratio",
         "config_bad_bool",
         "dictionary_missing",
+        "dictionary_empty",
         "dictionary_bad_row",
         "synonym_to_itself",
         "pattern_bad_regex",
@@ -880,3 +897,24 @@ def test_rerun_overwrites_identically(corpus, tables_dir, tmp_path):
         p.relative_to(corpus): p.read_bytes() for p in sorted(corpus.rglob("*")) if p.is_file()
     }
     assert before == after
+
+
+#: sha256 over the relative path and bytes of every file that
+#: ``synthesize`` writes for the bundled tables and that ``extract``,
+#: ``twin`` and ``evaluate`` write for that corpus, with no flag and with
+#: ``--naive``. A change that alters an output on purpose updates it.
+GOLDEN_OUTPUTS_SHA256 = "5ac214c4e0f2192cb6fc0233816c59bf1c6f0b77385745e8522e7f0acd4457a1"
+
+
+def test_outputs_on_the_bundled_tables_match_the_golden_digest(tables_dir, tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synthesize", str(tables_dir), "--out", str(corpus)]) == 0
+    for name, flags in (("full", []), ("naive", ["--naive"])):
+        for command in ("extract", "twin", "evaluate"):
+            out = tmp_path / name / command
+            assert main([command, str(corpus), "--out", str(out), *flags]) == 0
+    digest = hashlib.sha256()
+    for path, data in tree(tmp_path).items():
+        digest.update(f"{path.as_posix()}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    assert digest.hexdigest() == GOLDEN_OUTPUTS_SHA256

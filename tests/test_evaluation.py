@@ -10,13 +10,12 @@ from fhirtwin.evaluation import (
     CorpusCase,
     EmptyCorpusError,
     PatientMismatchError,
+    compare_bundles,
     evaluate_corpus,
     gold_from_dict,
     gold_to_dict,
-    interoperability_score,
     ner_f1,
     relation_f1,
-    semantic_completeness,
 )
 from fhirtwin.fhir_assembly import (
     SharedBlocks,
@@ -122,13 +121,13 @@ def small_bundle(patient_id="p1", conditions=(("38341003", "Hypertensive disorde
 
 def test_completeness_identity():
     twin = small_bundle()
-    assert semantic_completeness(twin, twin) == 1.0
+    assert compare_bundles(twin, twin)[0] == 1.0
 
 
 def test_completeness_patient_only_generated():
     reference = small_bundle(conditions=(("1", "A"), ("2", "B"), ("3", "C")))
     generated = TwinBundle(entries=(build_patient("p1"),))
-    assert semantic_completeness(generated, reference) == 0.0
+    assert compare_bundles(generated, reference)[0] == 0.0
 
 
 def test_completeness_three_of_four_fields():
@@ -145,23 +144,23 @@ def test_completeness_three_of_four_fields():
         else:
             damaged_entries.append(resource)
     generated = TwinBundle(entries=tuple(damaged_entries))
-    assert semantic_completeness(generated, reference) == pytest.approx(3 / 4)
+    assert compare_bundles(generated, reference)[0] == pytest.approx(3 / 4)
 
 
 def test_completeness_patient_mismatch():
     with pytest.raises(PatientMismatchError):
-        semantic_completeness(small_bundle("p1"), small_bundle("p2"))
+        compare_bundles(small_bundle("p1"), small_bundle("p2"))
 
 
 def test_interoperability_identity():
     twin = small_bundle()
-    assert interoperability_score(twin, twin) == 1.0
+    assert compare_bundles(twin, twin)[1] == 1.0
 
 
 def test_interoperability_patient_only_generated():
     reference = small_bundle()
     generated = TwinBundle(entries=(build_patient("p1"),))
-    assert interoperability_score(generated, reference) == 0.0
+    assert compare_bundles(generated, reference)[1] == 0.0
 
 
 def test_interoperability_half_matched():
@@ -169,12 +168,12 @@ def test_interoperability_half_matched():
     # F1_match = 2/3, agreement = 1.0, score = 5/6
     reference = small_bundle(conditions=(("1", "A"), ("2", "B")))
     generated = small_bundle(conditions=(("1", "A"),))
-    assert interoperability_score(generated, reference) == pytest.approx(5 / 6)
+    assert compare_bundles(generated, reference)[1] == pytest.approx(5 / 6)
 
 
 def test_interoperability_both_empty():
     generated = TwinBundle(entries=(build_patient("p1"),))
-    assert interoperability_score(generated, generated) == 1.0
+    assert compare_bundles(generated, generated)[1] == 1.0
 
 
 def test_bundle_scores_match_oracles_on_goldens(pipeline, config, tables_dir):
@@ -182,10 +181,10 @@ def test_bundle_scores_match_oracles_on_goldens(pipeline, config, tables_dir):
     for record in load_records(tables_dir)[:6]:
         case = synthesize(record, templates, pipeline.index, config.default_timestamp)
         twin, _, _ = pipeline.twin(record.patient_id, [case.note])
-        assert semantic_completeness(twin, case.reference) == pytest.approx(
+        assert compare_bundles(twin, case.reference)[0] == pytest.approx(
             oracle_completeness(twin, case.reference), abs=1e-12
         )
-        assert interoperability_score(twin, case.reference) == pytest.approx(
+        assert compare_bundles(twin, case.reference)[1] == pytest.approx(
             oracle_interoperability(twin, case.reference), abs=1e-12
         )
 

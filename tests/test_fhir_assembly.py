@@ -17,6 +17,7 @@ from fhirtwin.fhir_assembly import (
     ReadOnlyDict,
     ReadOnlyList,
     Severity,
+    SharedBlocks,
     TwinBundle,
     assemble,
     build_patient,
@@ -45,7 +46,9 @@ def annotate(pipeline, text, note_id="n1", patient_id="p1", timestamp="2023-03-0
 def build_resources(pipeline, text, **kwargs):
     note, annotation = annotate(pipeline, text, **kwargs)
     patient = build_patient(note.patient_id)
-    resources = assemble(note, annotation.annotated, annotation.relations, patient)
+    resources = assemble(
+        note, annotation.annotated, annotation.relations, SharedBlocks(patient)
+    )
     return patient, resources
 
 
@@ -111,7 +114,7 @@ def test_words_outside_the_dictionary_make_no_resources(pipeline):
     patient = build_patient("p1")
     # An unknown word never becomes a mention, so it has nothing to assemble.
     assert annotation.annotated == ()
-    assert assemble(note, annotation.annotated, (), patient) == []
+    assert assemble(note, annotation.annotated, (), SharedBlocks(patient)) == []
 
 
 def test_naive_mapping_emits_uncoded_resources(config):
@@ -121,7 +124,9 @@ def test_naive_mapping_emits_uncoded_resources(config):
     note = ClinicalNote("n1", "p1", None, FIG1_TEXT)
     annotation = Pipeline(naive).annotate(note)
     patient = build_patient("p1")
-    resources = assemble(note, annotation.annotated, annotation.relations, patient)
+    resources = assemble(
+        note, annotation.annotated, annotation.relations, SharedBlocks(patient)
+    )
     assert {r.resource_type for r in resources} == {"Condition", "MedicationRequest"}
     for resource in resources:
         assert resource.primary_code() is None
@@ -574,7 +579,7 @@ def test_default_timestamp_flagged_as_warning(pipeline, config):
         note,
         annotation.annotated,
         (),
-        patient,
+        SharedBlocks(patient),
         default_timestamp=config.default_timestamp,
     )
     issues = validate(resources, patient, default_timestamp=config.default_timestamp)

@@ -21,7 +21,7 @@ from fhirtwin.normalizer import (
     NormalizedConcept,
     split_observation_text,
 )
-from fhirtwin.pipeline import Pipeline, build_config, load_config_file
+from fhirtwin.pipeline import Pipeline, PipelineConfig, build_config, load_config_file
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
 from fhirtwin.terminology import CodeSystem, EntityType
@@ -34,6 +34,13 @@ def test_build_config_uses_bundled_defaults(config):
     assert config.dictionaries[0].name == "terminology.csv"
     assert config.patterns.name == "patterns.tsv"
     assert config.split_ratios == (0.70, 0.15, 0.15)
+
+
+def test_a_bare_config_is_the_bundled_one_and_builds_a_pipeline(config, pipeline):
+    assert PipelineConfig() == config
+    bare = Pipeline(PipelineConfig())
+    note = ClinicalNote("n1", "p1", None, TABLE3_TEXT)
+    assert bare.annotate(note) == pipeline.annotate(note)
 
 
 def test_config_file_parsing(tmp_path):

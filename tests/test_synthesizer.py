@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.evaluation import (
@@ -15,6 +15,7 @@ from fhirtwin.evaluation import (
     relation_keys,
 )
 from fhirtwin.fhir_assembly import Severity, validate
+from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import BadRatiosError
 from fhirtwin.synthesizer import (
     Diagnosis,
@@ -28,7 +29,7 @@ from fhirtwin.synthesizer import (
     split_corpus,
     synthesize,
 )
-from fhirtwin.terminology import MalformedRowError
+from fhirtwin.terminology import EntityType, MalformedRowError
 
 from conftest import FIG1_TEXT
 
@@ -176,6 +177,72 @@ def test_gold_spans_slice_note_text(pipeline, config, templates, tables_dir):
         case = synthesize(rec, templates, pipeline.index, config.default_timestamp)
         for mention in case.gold.mentions:
             assert 0 <= mention.start < mention.end <= len(case.note.text)
+
+
+@pytest.fixture(scope="module")
+def resolvable(index):
+    """Each item kind's dictionary surfaces that resolve as its entity type."""
+    return {
+        etype: sorted(k for k in index.entries if normalize_key(k, etype, index))
+        for etype in (EntityType.CONDITION, EntityType.MEDICATION, EntityType.OBSERVATION)
+    }
+
+
+#: A table cell as ``load_records`` leaves it: stripped, and possibly empty.
+maybe_empty = st.one_of(
+    st.just(""), st.from_regex(r"[0-9a-z/]{1,5}( [0-9a-z/]{1,5})?", fullmatch=True)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gold_spans_slice_note_to_each_items_text(data, resolvable, templates, index):
+    def names(etype):
+        return st.sampled_from(resolvable[etype])
+
+    rec = record(
+        diagnoses=data.draw(
+            st.lists(st.tuples(st.just(""), st.just("x"), names(EntityType.CONDITION)))
+        ),
+        medications=data.draw(
+            st.lists(st.tuples(names(EntityType.MEDICATION), maybe_empty, maybe_empty))
+        ),
+        labs=data.draw(
+            st.lists(
+                st.tuples(
+                    names(EntityType.OBSERVATION),
+                    maybe_empty,
+                    maybe_empty,
+                    st.sampled_from(["", "2023-03-01T08:30:00Z"]),
+                )
+            )
+        ),
+    )
+    assume(rec.diagnoses or rec.medications or rec.labs)
+    case = synthesize(rec, templates, index)
+    text = case.note.text
+
+    def filled(*parts):
+        return [part for part in parts if part]
+
+    expected = [(EntityType.CONDITION, d.description) for d in rec.diagnoses]
+    dosages = []
+    for medication in rec.medications:
+        expected.append((EntityType.MEDICATION, medication.drug))
+        parts = filled(medication.dose, medication.frequency)
+        if parts:
+            expected.append((EntityType.DOSAGE, " ".join(parts)))
+            dosages.append(parts)
+    for lab in rec.labs:
+        expected.append((EntityType.OBSERVATION, " ".join(filled(lab.test, lab.value, lab.unit))))
+    mentions = case.gold.mentions
+    assert [(m.etype, text[m.start : m.end]) for m in mentions] == expected
+
+    dosage_spans = [(m.start, m.end) for m in mentions if m.etype == EntityType.DOSAGE]
+    assert [r.tail_span for r in case.gold.relations] == dosage_spans
+    for (start, end), parts in zip(dosage_spans, dosages):
+        assert text.startswith(parts[0], start)
+        assert text.endswith(parts[-1], start, end)
 
 
 def test_reference_bundles_validate_clean(pipeline, config, templates, tables_dir):
