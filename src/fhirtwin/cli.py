@@ -30,7 +30,7 @@ from fhirtwin.evaluation import (
     gold_from_dict,
     gold_to_dict,
 )
-from fhirtwin.ner import ClinicalNote
+from fhirtwin.ner import ClinicalNote, check_id
 from fhirtwin.pipeline import NoteAnnotation, Pipeline, PipelineConfig, build_config
 from fhirtwin.relations import RelationType
 from fhirtwin.synthesizer import (
@@ -448,7 +448,8 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
     Raises EmptyCorpusError when there is no manifest or it lists no notes,
     and CorpusFileError naming the first file that is missing, is not of
     its shape, or whose gold ``note_id`` or reference Patient identifier is
-    not the manifest's, and naming the manifest when it lists a note twice.
+    not the manifest's, and naming the manifest when it lists a note twice
+    or an id that ``ner.check_id`` rejects.
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
@@ -458,6 +459,8 @@ def load_corpus(corpus_dir: str | Path) -> list[CorpusCase]:
         entries = _read_json(manifest_path, _CORPUS_MANIFEST).get("notes", [])
         listed: set[str] = set()
         for entry in entries:
+            check_id("note_id", entry["note_id"])
+            check_id("patient_id", entry["patient_id"])
             if entry["note_id"] in listed:
                 raise ValueError(f"note {entry['note_id']!r} is listed twice")
             listed.add(entry["note_id"])

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from fhirtwin.ner import ClinicalNote, EntityType
+from fhirtwin.ner import ClinicalNote, EntityType, check_id
 from fhirtwin.normalizer import (
     AnnotatedMention,
     NormalizedConcept,
@@ -183,7 +183,8 @@ PROFILE: dict[str, ResourceProfile] = {
 
 
 class EmptyPatientIdError(Exception):
-    """build_patient() requires a non-empty patient identifier."""
+    """build_patient() requires a patient identifier that ``ner.check_id``
+    accepts."""
 
 
 class Severity(Enum):
@@ -269,8 +270,7 @@ def _code_key(concept: Optional[NormalizedConcept], text: str) -> str:
 
 def build_patient(patient_id: str) -> FhirResource:
     """The single Patient resource every other resource references."""
-    if not patient_id:
-        raise EmptyPatientIdError("patient_id must be non-empty")
+    check_id("patient_id", patient_id, EmptyPatientIdError)
     return FhirResource(
         resource_type="Patient",
         id=resource_id(patient_id, "Patient", patient_id, ""),

@@ -2,9 +2,13 @@
 
 Extraction combines dictionary matching (longest token n-gram wins, up to
 the longest dictionary key) with a configurable set of regular-expression
-patterns for dosages, observations with inline values, and temporal
-expressions. Everything here is a pure function of its inputs, so notes
-can be processed in parallel against a shared read-only index.
+patterns for dosages and temporal expressions. Everything here is a pure
+function of its inputs, so notes can be processed in parallel against a
+shared read-only index.
+
+Observation names come from the dictionary alone, and
+``OBSERVATION_VALUE`` is the one grammar of the value that may follow one,
+both in ``extract_entities`` and in ``split_observation_text``.
 
 ``segment`` and ``token_spans`` scan the text with one regex each.
 
@@ -24,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from fhirtwin._match.pymatch import dictionary_spans, token_spans
 from fhirtwin.terminology import (
@@ -72,9 +76,30 @@ _ETYPE_PRIORITY = {
 }
 _ETYPE_BY_PRIORITY = tuple(sorted(_ETYPE_PRIORITY, key=_ETYPE_PRIORITY.__getitem__))
 
+_OBSERVATION = _ETYPE_PRIORITY[EntityType.OBSERVATION]
+#: An observation value after its name: a colon or whitespace, a number or
+#: a ratio, then an optional unit. Compiled case-insensitive.
+OBSERVATION_VALUE = (
+    r"(?:\s*:\s*|\s+)(?P<value>\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+    r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min"
+    r"|bpm|lbs?|kg|cm|sec|%|f|c))?)(?!\w)"
+)
+_VALUE = re.compile(OBSERVATION_VALUE, re.IGNORECASE)
+_VALUE_AT_END = re.compile(OBSERVATION_VALUE + r"\Z", re.IGNORECASE)
+
 #: An extraction candidate ranked for overlap resolution:
 #: ``(start - end, start, priority, end, sentence index)``.
 Candidate = tuple[int, int, int, int, int]
+
+
+def check_id(field: str, value: str, error: Callable[[str], Exception] = ValueError):
+    """Raise ``error(reason)`` unless ``value``, a note or patient id, can
+    name a file: it must be non-empty, not ``.`` or ``..``, and hold no
+    ``/``, ``\\`` or NUL."""
+    if not value:
+        raise error(f"{field} must be non-empty")
+    if value in (".", "..") or any(c in value for c in "/\\\0"):
+        raise error(f"{field} {value!r} is not a plain file name part")
 
 
 @dataclass(frozen=True)
@@ -85,10 +110,8 @@ class ClinicalNote:
     text: str
 
     def __post_init__(self):
-        if not self.note_id:
-            raise ValueError("note_id must be non-empty")
-        if not self.patient_id:
-            raise ValueError("patient_id must be non-empty")
+        check_id("note_id", self.note_id)
+        check_id("patient_id", self.patient_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +163,16 @@ def load_patterns(path: str | Path) -> PatternSet:
             raise MalformedRowError(path, line_no, f"bad regex: {exc}") from None
         patterns.append(Pattern(name.strip(), etype, compiled))
     return PatternSet(tuple(patterns))
+
+
+def split_observation_text(text: str) -> tuple[str, str]:
+    """``"BP: 145/92"`` -> ``("BP", "145/92")``: the text before the
+    ``OBSERVATION_VALUE`` that ends it, and that value without its
+    separator; ``(text, "")`` when no name precedes such a value."""
+    match = _VALUE_AT_END.search(text)
+    if match is None or match.start() == 0:
+        return text, ""
+    return text[: match.start()], match["value"]
 
 
 def _guarded_period(text: str, i: int) -> bool:
@@ -245,9 +278,11 @@ def extract_entities(
     """Extract typed, non-overlapping entity mentions from a note.
 
     Dictionary hits are typed by their concept entries; pattern hits by the
-    pattern's entity type. Candidates crossing a sentence boundary are
-    dropped, so every returned mention sits inside exactly one sentence.
-    Output is sorted by start offset.
+    pattern's entity type. An observation hit followed by an
+    ``OBSERVATION_VALUE`` is a candidate both bare and with its value.
+    Candidates crossing a sentence boundary are dropped, so every returned
+    mention sits inside exactly one sentence. Output is sorted by start
+    offset.
     """
     text = note.text
     sentences = segment(text)
@@ -274,6 +309,10 @@ def extract_entities(
                 sentence = _containing_sentence(starts, ends, start, end)
                 if sentence is not None:
                     candidates.append((start - end, start, priority, end, sentence))
+                    value = _VALUE.match(text, end) if priority == _OBSERVATION else None
+                    if value is not None and value.end() <= ends[sentence]:
+                        end = value.end()
+                        candidates.append((start - end, start, priority, end, sentence))
 
     for pattern in patterns.patterns:
         priority = _ETYPE_PRIORITY[pattern.etype]

@@ -4,7 +4,9 @@ Each codeable mention maps to at most one concept. Exact surface matches
 score 1.0, synonym-resolved matches 0.9; ties fall back to per-type system
 preference (SNOMED over ICD-10 for conditions, LOINC over SNOMED for
 observations) and finally to the smaller code. Dosage and temporal
-mentions never carry codes; they shape resource structure instead.
+mentions never carry codes; they shape resource structure instead. An
+observation mention is looked up on its name alone, as
+``ner.split_observation_text`` parts it from its value.
 
 ``normalize_all`` normalizes each distinct (text, entity type) once per
 call and hands the same concept to every mention that repeats it; the
@@ -14,11 +16,10 @@ memo lives only for that call. ``NormalizedConcept`` and
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from fhirtwin.ner import EntityMention
+from fhirtwin.ner import EntityMention, split_observation_text
 from fhirtwin.terminology import (
     CODEABLE_TYPES,
     CodeSystem,
@@ -38,36 +39,6 @@ SYSTEMS_BY_TYPE: dict[EntityType, tuple[CodeSystem, ...]] = {
     EntityType.OBSERVATION: (CodeSystem.LOINC, CodeSystem.SNOMED),
 }
 
-#: Unit words that count as part of a trailing observation value.
-VALUE_UNITS = frozenset(
-    {
-        "mmhg",
-        "bpm",
-        "%",
-        "mg/dl",
-        "mmol/l",
-        "meq/l",
-        "g/dl",
-        "k/ul",
-        "x10^9/l",
-        "u/l",
-        "ng/ml",
-        "pg/ml",
-        "kg",
-        "lb",
-        "lbs",
-        "cm",
-        "f",
-        "c",
-        "/min",
-        "sec",
-        "mm/hr",
-    }
-)
-
-_CHUNK = re.compile(r"\S+")
-
-
 class TypeMismatchError(Exception):
     """normalize() was called on a mention type that never carries codes."""
 
@@ -84,29 +55,6 @@ class NormalizedConcept:
 class AnnotatedMention:
     mention: EntityMention
     concept: Optional[NormalizedConcept]
-
-
-def split_observation_text(text: str) -> tuple[str, str]:
-    """Split an observation span into (name, trailing value) parts.
-
-    The value part is the maximal trailing run of whitespace-separated
-    chunks that start with a digit or are a known unit word, so names with
-    embedded digits ("HbA1c", "SpO2") stay on the name side.
-    ``"BP 145/92"`` becomes ``("BP", "145/92")``; spans without a trailing
-    value return the full text and an empty value.
-    """
-    chunks = list(_CHUNK.finditer(text))
-    split_at = len(chunks)
-    for match in reversed(chunks):
-        chunk = match.group()
-        if chunk[0].isdigit() or chunk.casefold() in VALUE_UNITS:
-            split_at -= 1
-        else:
-            break
-    if split_at == 0 or split_at == len(chunks):
-        return text, ""
-    value_start = chunks[split_at].start()
-    return text[:value_start].rstrip(), text[value_start:]
 
 
 def _pick(resolution: Resolution, etype: EntityType) -> Optional[NormalizedConcept]:
@@ -158,8 +106,8 @@ def normalize(
 ) -> Optional[NormalizedConcept]:
     """Map a codeable mention to its best concept, or None when unknown.
 
-    Observation spans are keyed on their name part, with trailing value
-    tokens stripped before lookup.
+    Observation spans are keyed on their name, as
+    ``ner.split_observation_text`` parts it from the value.
     """
     if mention.etype not in CODEABLE_TYPES:
         raise TypeMismatchError(

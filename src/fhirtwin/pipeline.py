@@ -76,8 +76,9 @@ _RATIO_KEYS = ("train_ratio", "validation_ratio", "test_ratio")
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file into a raw mapping.
 
-    Relative paths are resolved against the config file's directory, and
-    the ``*_ratio`` keys come back as one checked ``split_ratios`` triple.
+    Values must be non-empty; relative paths are resolved against the
+    config file's directory, and the ``*_ratio`` keys come back as one
+    checked ``split_ratios`` triple.
     """
     path = Path(path)
     base = path.parent
@@ -94,6 +95,8 @@ def load_config_file(path: str | Path) -> dict:
 
     parsed: dict = {}
     for key, value in raw.items():
+        if not value:
+            raise ValueError(f"{path}: {key}: empty value")
         if key == "dictionary":
             parsed["dictionaries"] = tuple(
                 respath(part.strip()) for part in value.split(",") if part.strip()

@@ -17,13 +17,14 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import CorpusCase, GoldAnnotations, GoldMention, GoldRelation
 from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP
-from fhirtwin.ner import ClinicalNote
+from fhirtwin.ner import ClinicalNote, check_id
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import check_ratios
 from fhirtwin.relations import RelationType
@@ -343,8 +344,9 @@ def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
 
     Cells are stripped, and a first line whose first cell is ``patient_id``
     is a header. A missing table is tolerated with a warning; when none is
-    present this raises ``FileNotFoundError``. A row with an empty patient
-    id raises ``MalformedRowError``. Records come back sorted by patient id.
+    present this raises ``FileNotFoundError``. A row whose patient id
+    ``ner.check_id`` rejects raises ``MalformedRowError``. Records come
+    back sorted by patient id.
     """
     tables_dir = Path(tables_dir)
     items: dict[str, dict[str, list]] = {}
@@ -359,8 +361,7 @@ def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
             patient_id, *rest = (cell.strip() for cell in cells)
             if line_no == 1 and patient_id.lower() == "patient_id":
                 continue
-            if not patient_id:
-                raise MalformedRowError(path, line_no, "empty patient_id")
+            check_id("patient_id", patient_id, partial(MalformedRowError, path, line_no))
             fields = items.setdefault(patient_id, {})
             fields.setdefault(record_field, []).append(make_item(*rest))
     if not found:

@@ -284,8 +284,21 @@ def oracle_segment(text):
     return sentences
 
 
+#: The observation names OBS_VALUE lists, as a regex.
+ORACLE_OBSERVATION_NAMES = (
+    r"blood pressure|bp|heart rate|hr|respiratory rate|temperature"
+    r"|oxygen saturation|o2 sat|spo2|glucose|hba1c|a1c|creatinine|sodium"
+    r"|potassium|hemoglobin|wbc|platelets|cholesterol|ldl|hdl|triglycerides"
+    r"|bun|bilirubin|albumin|lactate|troponin|bnp|inr|weight|bmi"
+    r"|ejection fraction"
+)
+
 #: The bundled patterns by name, as first written: every one starts with
-#: ``\b``, and OBS_VALUE lists its names flat. Compiled case-insensitive.
+#: ``\b``. Compiled case-insensitive. OBS_VALUE, an observation name and
+#: its value, is the oracle of the observation mentions that
+#: ``ner.extract_entities`` extends by an ``ner.OBSERVATION_VALUE``. It lists
+#: its names flat, in a group named ``name``, and starts where a dictionary
+#: token can start: after no character that ``str.isalnum`` accepts.
 ORACLE_PATTERNS = {
     name: re.compile(regex, re.IGNORECASE)
     for name, regex in (
@@ -297,11 +310,8 @@ ORACLE_PATTERNS = {
         ),
         (
             "OBS_VALUE",
-            r"\b(?:blood pressure|bp|heart rate|hr|respiratory rate|temperature"
-            r"|oxygen saturation|o2 sat|spo2|glucose|hba1c|a1c|creatinine|sodium"
-            r"|potassium|hemoglobin|wbc|platelets|cholesterol|ldl|hdl|triglycerides"
-            r"|bun|bilirubin|albumin|lactate|troponin|bnp|inr|weight|bmi"
-            r"|ejection fraction)(?:\s*:\s*|\s+)\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+            rf"(?<![^\W_])(?P<name>{ORACLE_OBSERVATION_NAMES})"
+            r"(?:\s*:\s*|\s+)\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
             r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min"
             r"|bpm|lbs?|kg|cm|sec|%|f|c))?(?!\w)",
         ),

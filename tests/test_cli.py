@@ -122,7 +122,7 @@ def test_synthesize_malformed_table_names_file(tmp_path, capsys):
         ),
         (
             {"labevents.csv": "p1,BP,120/80,,2023-01-01T00:00:00Z\n ,BP,1,,\n"},
-            "{dir}/labevents.csv:2: empty patient_id",
+            "{dir}/labevents.csv:2: patient_id must be non-empty",
         ),
         ({}, "{dir}: no input tables found"),
         (
@@ -746,7 +746,14 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
             "{config}: disable_relations: 'ture' is not 1/0, true/false",
         ),
         ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
-        ({}, "dictionary =\n", "{config}: dictionary: no file named"),
+        ({}, "dictionary =\n", "{config}: dictionary: empty value"),
+        ({}, "dictionary = , \n", "{config}: dictionary: no file named"),
+        ({}, "default_timestamp =\n", "{config}: default_timestamp: empty value"),
+        ({}, "out =\n", "{config}: out: empty value"),
+        ({}, "patterns = \n", "{config}: patterns: empty value"),
+        ({}, "seed =\n", "{config}: seed: empty value"),
+        ({}, "disable_relations =\n", "{config}: disable_relations: empty value"),
+        ({}, "test_ratio =\n", "{config}: test_ratio: empty value"),
         (
             {"d.csv": "hypertension,SNOMED,38341003\n"},
             "dictionary = d.csv\n",
@@ -791,6 +798,13 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "config_bad_bool",
         "dictionary_missing",
         "dictionary_empty",
+        "dictionary_only_commas",
+        "default_timestamp_empty",
+        "out_empty",
+        "patterns_empty",
+        "seed_empty",
+        "bool_empty",
+        "ratio_empty",
         "dictionary_bad_row",
         "synonym_to_itself",
         "pattern_bad_regex",
@@ -815,6 +829,59 @@ def test_setup_error_is_one_line_and_exit_1(tmp_path, capsys, files, config, rea
     assert err.startswith("error: " + reason.format(config=config_path, dir=tmp_path))
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bad_id", ["sub/n1", "../../escaped", "..", ".", "a\\b", "nul\0"]
+)
+def test_no_command_writes_outside_out_whatever_the_ids(
+    tables_dir, tmp_path, caplog, capsys, bad_id
+):
+    root = tmp_path / "in" / "deep"
+    notes = root / "notes"
+    notes.mkdir(parents=True)
+    for name in ("good", "m"):
+        (notes / f"{name}.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    write_json(root / "manifest.json", {"notes": [{"note_id": "m", "patient_id": bad_id}]})
+    write_json(notes / "n.json", {"note_id": bad_id, "text": TABLE3_TEXT})
+    write_json(notes / "p.json", {"note_id": "p", "patient_id": bad_id, "text": TABLE3_TEXT})
+    tables = root / "tables"
+    tables.mkdir()
+    diagnoses = tables / "diagnoses.csv"
+    diagnoses.write_text(
+        f"p1,ICD10:I10,hypertension\n{bad_id},ICD10:I10,hypertension\n", encoding="utf-8"
+    )
+    corpus = root / "corpus"
+    assert main(["synthesize", str(tables_dir), "--out", str(corpus)]) == 0
+    manifest = read_json(corpus / "manifest.json")
+    manifest["notes"][0]["note_id"] = bad_id
+    write_json(corpus / "manifest.json", manifest)
+    inputs = tree(tmp_path)
+    capsys.readouterr()
+    out = root / "out"
+
+    assert main(["synthesize", str(tables), "--out", str(out / "s")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {diagnoses}:2: patient_id {bad_id!r} is not a plain file name part\n"
+    )
+    assert main(["extract", str(notes), "--out", str(out / "x")]) == 3
+    assert main(["twin", str(notes), "--out", str(out / "t")]) == 3
+    for name, field in (
+        ("m.txt", "patient_id"),
+        ("n.json", "note_id"),
+        ("p.json", "patient_id"),
+    ):
+        assert f"skipping {notes / name}: {field} {bad_id!r} is not a plain" in caplog.text
+    assert main(["evaluate", str(corpus), "--out", str(out / "e")]) == 2
+    assert f"bad corpus file {corpus / 'manifest.json'}: ValueError: note_id" in caplog.text
+
+    written = tree(tmp_path)
+    assert {p: data for p, data in written.items() if out not in (tmp_path / p).parents} == inputs
+    assert sorted(path.as_posix() for path in tree(out)) == [
+        "t/bundles/twin_good.issues.json",
+        "t/bundles/twin_good.json",
+        "x/annotations/good.json",
+    ]
 
 
 def test_unusable_note_files_beside_a_good_one_exit_3(tmp_path):
@@ -918,3 +985,39 @@ def test_outputs_on_the_bundled_tables_match_the_golden_digest(tables_dir, tmp_p
         digest.update(f"{path.as_posix()}\0{len(data)}\0".encode("utf-8"))
         digest.update(data)
     assert digest.hexdigest() == GOLDEN_OUTPUTS_SHA256
+
+
+#: The observation row the bundled ``patterns.tsv`` had before observation
+#: values were read after dictionary names.
+OLD_OBS_VALUE_ROW = (
+    "OBS_VALUE\tOBSERVATION\t"
+    r"\b(?:a(?:1c|lbumin)|b(?:ilirubin|lood pressure|mi|np|p|un)|c(?:holesterol"
+    r"|reatinine)|ejection fraction|glucose|h(?:ba1c|dl|eart rate|emoglobin|r)"
+    r"|inr|l(?:actate|dl)|o(?:2 sat|xygen saturation)|p(?:latelets|otassium)"
+    r"|respiratory rate|s(?:odium|po2)|t(?:emperature|riglycerides|roponin)"
+    r"|w(?:bc|eight))(?:\s*:\s*|\s+)\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+    r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min|bpm"
+    r"|lbs?|kg|cm|sec|%|f|c))?(?!\w)"
+    "\n"
+)
+
+
+def test_a_pattern_file_with_the_old_observation_row_gives_the_same_outputs(
+    tables_dir, tmp_path
+):
+    old = tmp_path / "old_patterns.tsv"
+    bundled = (default_data_dir() / "patterns.tsv").read_text(encoding="utf-8")
+    old.write_text(bundled + OLD_OBS_VALUE_ROW, encoding="utf-8")
+    (tmp_path / "old.conf").write_text(f"patterns = {old}\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["synthesize", str(tables_dir), "--out", str(corpus)]) == 0
+    for flags in ([], ["--naive"], ["--no-normalize"], ["--no-relations"], ["--no-validate"]):
+        outputs = {}
+        for name, config in (("new", []), ("old", ["--config", str(tmp_path / "old.conf")])):
+            for command in ("extract", "twin", "evaluate"):
+                out = tmp_path / name / command
+                assert main([command, str(corpus), "--out", str(out), *flags, *config]) == 0
+            outputs[name] = tree(tmp_path / name)
+            shutil.rmtree(tmp_path / name)
+        assert outputs["old"] == outputs["new"], flags
+        assert any(b'"etype": "OBSERVATION"' in data for data in outputs["new"].values())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,17 +10,20 @@ from fhirtwin.ner import (
     _ETYPE_BY_PRIORITY,
     _ETYPE_PRIORITY,
     ClinicalNote,
+    PatternSet,
     _containing_sentence,
     _guarded_period,
     _resolve_overlaps,
     extract_entities,
     load_patterns,
     segment,
+    split_observation_text,
 )
 from fhirtwin.terminology import EntityType, load_terminology
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, scanner_text, write_dictionary
 from oracles import (
+    ORACLE_OBSERVATION_NAMES,
     ORACLE_PATTERNS,
     oracle_containing_sentence,
     oracle_guarded_period,
@@ -376,9 +381,9 @@ def _spans(regex, text):
 @given(pattern_text)
 def test_bundled_patterns_match_as_first_written(patterns, text):
     bundled = {pattern.name: pattern.regex for pattern in patterns.patterns}
-    assert bundled.keys() == ORACLE_PATTERNS.keys()
-    for name, regex in ORACLE_PATTERNS.items():
-        assert _spans(bundled[name], text) == _spans(regex, text), name
+    assert bundled.keys() == ORACLE_PATTERNS.keys() - {"OBS_VALUE"}
+    for name, regex in bundled.items():
+        assert _spans(regex, text) == _spans(ORACLE_PATTERNS[name], text), name
 
 
 @pytest.mark.parametrize("workload", ["short_notes", "long_notes"])
@@ -391,3 +396,70 @@ def test_bundled_patterns_match_as_first_written_on_benchmark_notes(
         assert [_spans(pattern.regex, t) for t in texts] == [
             _spans(regex, t) for t in texts
         ], pattern.name
+
+
+# ---------------------------------------------------------------------------
+# Observation values after dictionary names, against OBS_VALUE
+# ---------------------------------------------------------------------------
+
+_NO_PATTERNS = PatternSet(())
+_ORACLE_NAME = re.compile(ORACLE_OBSERVATION_NAMES, re.IGNORECASE)
+
+
+def _valued_observations(index, text):
+    """Spans of the observation mentions that carry a value, for the names
+    the oracle lists."""
+    spans = []
+    for mention in extract_entities(note(text), index, _NO_PATTERNS):
+        name, value = split_observation_text(mention.text)
+        if mention.etype == EntityType.OBSERVATION and value and _ORACLE_NAME.fullmatch(name):
+            spans.append(mention.span)
+    return spans
+
+
+def _oracle_valued_observations(index, text):
+    """OBS_VALUE's spans that sit in one sentence, for the names the
+    dictionary knows as observations."""
+    sentences = segment(text)
+    return [
+        match.span()
+        for match in ORACLE_PATTERNS["OBS_VALUE"].finditer(text)
+        if any(
+            entry.entity_type == EntityType.OBSERVATION
+            for entry in index.lookup(match["name"])[:1]
+        )
+        and oracle_containing_sentence(sentences, *match.span()) is not None
+    ]
+
+
+#: ``pattern_text`` with more observation names, spelled as the dictionary,
+#: its synonyms or only the oracle has them, and with letters that fold to
+#: a name's letters in one of the two only.
+observation_text = st.lists(
+    st.one_of(
+        st.sampled_from(list("0123456789/-.: \nİıſKabgmxz_")),
+        st.sampled_from(
+            ["BP", "bp", "hr", "Bun", "a1c", "hba1c", "Hgb", "O2 sat", "o2  sat",
+             "heart rate", "Heart  rate", "ınr", "İnr", "ſodium", "weight", "mg",
+             "mmHg", "mg/dL", "g/dL", "%", "bpm", "F", "c"]
+        ),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500)
+@example("BP: 1/2 _bp 3 hr\n4 Hgb 5 g/dL O2 sat 95% ſodium 140")
+@given(observation_text)
+def test_observation_values_match_obs_value(index, text):
+    assert _valued_observations(index, text) == _oracle_valued_observations(index, text)
+
+
+@pytest.mark.parametrize("workload", ["short_notes", "long_notes"])
+def test_observation_values_match_obs_value_on_benchmark_notes(
+    index, benchmark_cases, workload
+):
+    texts = [note.text for case in benchmark_cases[workload] for note in case.notes]
+    found = [_valued_observations(index, t) for t in texts]
+    assert found == [_oracle_valued_observations(index, t) for t in texts]
+    assert any(found)

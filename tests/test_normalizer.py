@@ -176,6 +176,13 @@ def test_per_mention_results_ignore_siblings(index):
         ("SpO2 94 %", "SpO2", "94 %"),
         ("oxygen saturation", "oxygen saturation", ""),
         ("INR 2.3", "INR", "2.3"),
+        ("Glucose: 180 mg/dL", "Glucose", "180 mg/dL"),
+        ("BP:145/92", "BP", "145/92"),
+        ("Heart rate : 88 bpm", "Heart rate", "88 bpm"),
+        ("Blood  pressure 120 / 80", "Blood  pressure", "120 / 80"),
+        ("O2 sat 95%", "O2 sat", "95%"),
+        ("145/92", "145/92", ""),
+        (": 5", ": 5", ""),
     ],
 )
 def test_split_observation_text(text, name, value):

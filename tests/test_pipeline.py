@@ -4,6 +4,8 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhirtwin import ner
 from fhirtwin.cli import _config_from_args, build_parser
@@ -222,6 +224,54 @@ def test_warm_pipeline_twins_like_a_cold_one(config, tables_dir):
         expected = to_json(bundle_to_dict(again))
         assert bundle_to_json(again) == bundle_to_json(cold) == expected, note.note_id
         assert bundle_to_json(again) == expected
+
+
+#: Values as ``ner.OBSERVATION_VALUE`` reads them: a number or a ratio,
+#: then an optional unit.
+observation_values = st.builds(
+    "{}{}{}".format,
+    st.one_of(st.integers(0, 400).map(str), st.just("13.5"), st.just("98.6")),
+    st.sampled_from(["", "/80", " / 60", "/ 7.5"]),
+    st.sampled_from(
+        ["", " mmHg", "mg/dL", " mmol/L", " mEq/L", " g/dL", " K/uL", " U/L",
+         " ng/mL", " pg/mL", " mm/hr", "/min", " bpm", " lb", " lbs", " kg",
+         " cm", " sec", "%", " %", " F", " C"]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    spell=st.sampled_from([str, str.upper, str.title]),
+    separator=st.sampled_from([" ", ":", " : ", "  "]),
+    value=observation_values,
+)
+def test_an_observation_name_and_value_make_one_coded_observation(
+    pipeline, data, spell, separator, value
+):
+    """Each observation surface and synonym of the dictionary, in any case
+    and followed by any separator and value, gives one coded Observation
+    with that name and value, and no dosage inside it."""
+    index = pipeline.index
+    names = sorted(
+        surface
+        for surface in (*index.entries, *index.synonym_map)
+        if index.lookup(surface)[0].entity_type == EntityType.OBSERVATION
+    )
+    name = spell(data.draw(st.sampled_from(names)))
+    text = f"{name}{separator}{value}."
+    twin, issues, (annotation,) = pipeline.twin(
+        "p1", [ClinicalNote("n1", "p1", "2024-02-02T00:00:00Z", text)]
+    )
+    observations = [r for r in twin.entries if r.resource_type == "Observation"]
+    assert len(observations) == 1, text
+    (observation,) = observations
+    assert observation.fields["code"]["text"] == name
+    assert observation.fields["code"]["coding"]
+    assert observation.fields["valueString"] == value
+    assert issues == []
+    assert [a.mention.etype for a in annotation.annotated] == [EntityType.OBSERVATION]
 
 
 def test_coded_blocks_are_bounded_by_concept_and_text(config, benchmark_cases):

@@ -428,7 +428,7 @@ def test_load_records_names_the_line_of_a_row_with_an_empty_patient_id(files, da
         with pytest.raises(MalformedRowError) as raised:
             load_records(tmp)
     path = Path(tmp) / f"{name}.csv"
-    assert str(raised.value) == f"{path}:{at + 1}: empty patient_id"
+    assert str(raised.value) == f"{path}:{at + 1}: patient_id must be non-empty"
 
 
 # ---------------------------------------------------------------------------
