@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,14 +70,16 @@ def _read_note_text(path: Path) -> str:
 #
 # A shape is a type (``str``, or ``int``, which excludes ``bool``), ``None``,
 # a tuple of alternatives, ``[shape]`` for a list of that shape, ``[int,
-# int]`` for a span, a frozenset of the strings allowed, or a dict of
-# fields. A dict shape allows keys it does not name, and a field whose
-# alternatives include ``ABSENT`` may be left out.
+# int]`` for a span, a frozenset of the strings allowed, a compiled regex
+# that a string must match in full, or a dict of fields. A dict shape
+# allows keys it does not name, and a field whose alternatives include
+# ``ABSENT`` may be left out.
 
 ABSENT = object()
 _TEXT = (str, ABSENT)
 _SPAN = [int, int]
-_ENTRY = {"note_id": str, "patient_id": _TEXT, "timestamp": (str, None, ABSENT)}
+_DATE_TIME = fhir_assembly.DATE_TIME
+_ENTRY = {"note_id": str, "patient_id": _TEXT, "timestamp": (_DATE_TIME, None, ABSENT)}
 #: A ``manifest.json`` beside or above a notes directory.
 MANIFEST = {"notes": ([_ENTRY], ABSENT)}
 #: A corpus manifest, which names each note's patient.
@@ -114,6 +117,7 @@ REFERENCE = {
     "entry": ([{"resource": _RESOURCE}], ABSENT),
 }
 _KINDS = {str: "a string", int: "an integer", None: "null"}
+_KINDS[_DATE_TIME] = "a string in R4 dateTime form"
 
 
 def check(value, shape, where: str = "") -> None:
@@ -132,6 +136,9 @@ def check(value, shape, where: str = "") -> None:
             return
         if isinstance(shape, frozenset) and isinstance(value, str) and value in shape:
             return
+        if isinstance(shape, re.Pattern) and isinstance(value, str):
+            if shape.fullmatch(value):
+                return
         if value is shape or type(value) is shape:
             return
     expected = " or ".join(_describe(s) for s in alternatives if s is not ABSENT)
@@ -238,13 +245,18 @@ def load_notes(directory: str | Path) -> tuple[list[ClinicalNote], list[str]]:
 
 
 def annotation_to_dict(annotation: NoteAnnotation) -> dict:
-    spans = {a.mention.mention_id: a.mention.span for a in annotation.annotated}
+    """The annotation file's body: the one place mention ids are made."""
+    note_id = annotation.note.note_id
+
+    def mention_id(span: tuple[int, int]) -> str:
+        return f"{note_id}:{span[0]}-{span[1]}"
+
     return {
-        "note_id": annotation.note.note_id,
+        "note_id": note_id,
         "patient_id": annotation.note.patient_id,
         "mentions": [
             {
-                "mention_id": a.mention.mention_id,
+                "mention_id": mention_id(a.mention.span),
                 "start": a.mention.start,
                 "end": a.mention.end,
                 "text": a.mention.text,
@@ -266,10 +278,10 @@ def annotation_to_dict(annotation: NoteAnnotation) -> dict:
         "relations": [
             {
                 "rtype": r.rtype.value,
-                "head": r.head,
-                "tail": r.tail,
-                "head_span": list(spans[r.head]),
-                "tail_span": list(spans[r.tail]),
+                "head": mention_id(r.head_span),
+                "tail": mention_id(r.tail_span),
+                "head_span": list(r.head_span),
+                "tail_span": list(r.tail_span),
             }
             for r in annotation.relations
         ],

@@ -49,18 +49,15 @@ class GoldMention:
     code: Optional[str]
 
 
-@dataclass(frozen=True)
-class GoldRelation:
-    rtype: RelationType
-    head_span: tuple[int, int]
-    tail_span: tuple[int, int]
+#: An alias of ``Relation``, the one record of gold and extracted relations.
+GoldRelation = Relation
 
 
 @dataclass(frozen=True)
 class GoldAnnotations:
     note_id: str
     mentions: tuple[GoldMention, ...]
-    relations: tuple[GoldRelation, ...]
+    relations: tuple[Relation, ...]
 
 
 def gold_to_dict(gold: GoldAnnotations) -> dict:
@@ -99,11 +96,7 @@ def gold_from_dict(body: dict) -> GoldAnnotations:
         for m in body.get("mentions", [])
     )
     rels = tuple(
-        GoldRelation(
-            rtype=RelationType(r["rtype"]),
-            head_span=tuple(r["head"]),
-            tail_span=tuple(r["tail"]),
-        )
+        Relation(RelationType(r["rtype"]), tuple(r["head"]), tuple(r["tail"]))
         for r in body.get("relations", [])
     )
     return GoldAnnotations(body["note_id"], mentions, rels)
@@ -153,20 +146,18 @@ relation_f1 = ner_f1
 def relation_keys(
     note_id: str, rels: Iterable[Relation], mentions: Iterable[EntityMention]
 ) -> list[tuple]:
-    """Resolve relation endpoints to spans for exact-triple comparison."""
-    spans = {m.mention_id: (m.start, m.end) for m in mentions}
+    """Keys of the relations in ``rels`` whose head and tail spans are both
+    spans of ``mentions``."""
+    spans = {m.span for m in mentions}
     return [
-        (note_id, r.rtype.value, spans[r.head], spans[r.tail])
+        (note_id, r.rtype.value, r.head_span, r.tail_span)
         for r in rels
-        if r.head in spans and r.tail in spans
+        if r.head_span in spans and r.tail_span in spans
     ]
 
 
 def gold_relation_keys(note_id: str, gold: GoldAnnotations) -> list[tuple]:
-    return [
-        (note_id, r.rtype.value, tuple(r.head_span), tuple(r.tail_span))
-        for r in gold.relations
-    ]
+    return [(note_id, r.rtype.value, r.head_span, r.tail_span) for r in gold.relations]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -61,6 +62,13 @@ CLINICAL_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-clinical"
 VERIFICATION_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-ver-status"
 
 DEFAULT_TIMESTAMP = "2024-01-01T00:00:00Z"
+#: An R4 ``dateTime`` (hl7.org/fhir/R4/datatypes.html#dateTime), when it
+#: matches a whole string: what every timestamp read from input must be.
+DATE_TIME = re.compile(
+    r"([0-9]([0-9]([0-9][1-9]|[1-9]0)|[1-9]00)|[1-9]000)(-(0[1-9]|1[0-2])"
+    r"(-(0[1-9]|[1-2][0-9]|3[0-1])(T([01][0-9]|2[0-3]):[0-5][0-9]:([0-5][0-9]|60)"
+    r"(\.[0-9]+)?(Z|(\+|-)((0[0-9]|1[0-3]):[0-5][0-9]|14:00)))?)?)?"
+)
 PLACEHOLDER_DOSAGE = "as directed"
 
 
@@ -383,17 +391,14 @@ def assemble(
 
     A mention without a concept produces a display-text resource with no
     coding, which the validator then rejects from the bundle. ``blocks``,
-    made for the note's patient, supplies the shared blocks.
+    made for the note's patient, supplies the shared blocks. A dosage's
+    text is the note's text at its relation's tail span.
     """
     timestamp = note.timestamp or default_timestamp
-    mention_by_id = {a.mention.mention_id: a.mention for a in annotated}
-    dosages: dict[str, list[tuple[int, str]]] = {}
+    dosages: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for relation in rels:
-        if relation.rtype != RelationType.HAS_DOSAGE:
-            continue
-        tail = mention_by_id.get(relation.tail)
-        if tail is not None:
-            dosages.setdefault(relation.head, []).append((tail.start, tail.text))
+        if relation.rtype == RelationType.HAS_DOSAGE:
+            dosages.setdefault(relation.head_span, []).append(relation.tail_span)
 
     observation_parts: dict[str, tuple[str, str]] = {}
     resources: list[FhirResource] = []
@@ -419,8 +424,8 @@ def assemble(
                 )
             )
         elif mention.etype == EntityType.MEDICATION:
-            attached = sorted(dosages.get(mention.mention_id, []))
-            dosage_texts = [text for _, text in attached] or [PLACEHOLDER_DOSAGE]
+            tails = sorted(dosages.get(mention.span, []))
+            dosage_texts = [note.text[s:e] for s, e in tails] or [PLACEHOLDER_DOSAGE]
             resources.append(
                 medication_request_resource(
                     patient_id,
@@ -447,6 +452,11 @@ def validate(
     lets the validator flag fallback timestamps with W2.
     """
     issues: list[ValidationIssue] = []
+
+    def flag(rule: str, message: str, severity: Severity = Severity.ERROR) -> None:
+        """Record an issue of the resource being checked."""
+        issues.append(ValidationIssue(resource.id, rule, severity, message))
+
     expected_subject = f"Patient/{patient.id}"
     for resource in resources:
         fields = resource.fields
@@ -455,14 +465,7 @@ def validate(
 
         subject_ref = (fields.get("subject") or {}).get("reference", "")
         if subject_ref != expected_subject:
-            issues.append(
-                ValidationIssue(
-                    resource.id,
-                    "S1",
-                    Severity.ERROR,
-                    f"subject {subject_ref!r} does not reference the bundle patient",
-                )
-            )
+            flag("S1", f"subject {subject_ref!r} does not reference the bundle patient")
         profile = PROFILE.get(resource.resource_type)
         if profile is None:
             continue
@@ -470,63 +473,30 @@ def validate(
         code_field, rule = profile.code_field, profile.code_rule
         coding = (fields.get(code_field) or {}).get("coding") or []
         if not coding:
-            issues.append(
-                ValidationIssue(
-                    resource.id, rule, Severity.ERROR, f"{code_field} has no coding"
-                )
-            )
+            flag(rule, f"{code_field} has no coding")
         for entry in coding:
             system = entry.get("system", "")
             if system not in profile.allowed_systems:
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        rule,
-                        Severity.ERROR,
-                        f"{code_field} uses disallowed system {system!r}",
-                    )
-                )
+                flag(rule, f"{code_field} uses disallowed system {system!r}")
             if not entry.get("code"):
-                issues.append(
-                    ValidationIssue(
-                        resource.id,
-                        rule,
-                        Severity.ERROR,
-                        f"{code_field} coding lacks a code",
-                    )
-                )
+                flag(rule, f"{code_field} coding lacks a code")
 
         time_field = profile.time_field
         for rule, required, message in profile.rules:
             for name in required:
                 if not fields.get(name):
-                    issues.append(
-                        ValidationIssue(resource.id, rule, Severity.ERROR, message)
-                    )
+                    flag(rule, message)
                     break
             else:  # every required field is present
                 if time_field in required:
                     if default_timestamp and fields[time_field] == default_timestamp:
-                        issues.append(
-                            ValidationIssue(
-                                resource.id,
-                                "W2",
-                                Severity.WARNING,
-                                f"{time_field} fell back to the default instant",
-                            )
-                        )
+                        fell_back = f"{time_field} fell back to the default instant"
+                        flag("W2", fell_back, Severity.WARNING)
                 elif "dosageInstruction" in required and any(
                     d.get("text") == PLACEHOLDER_DOSAGE
                     for d in fields["dosageInstruction"]
                 ):
-                    issues.append(
-                        ValidationIssue(
-                            resource.id,
-                            "W1",
-                            Severity.WARNING,
-                            "dosageInstruction is a placeholder",
-                        )
-                    )
+                    flag("W1", "dosageInstruction is a placeholder", Severity.WARNING)
     return issues
 
 

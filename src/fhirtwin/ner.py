@@ -18,7 +18,8 @@ order is the overlap ranking, and gives it its sentence as it is made, so
 a candidate that crosses a sentence boundary is never kept. Each distinct
 dictionary surface of a note is looked up once. ``Sentence`` and
 ``EntityMention`` are frozen slotted records: they carry no ``__dict__``,
-which keeps the many made per long note small.
+which keeps the many made per long note small. A mention is identified
+by its note and span; no string id is made for it.
 """
 
 from __future__ import annotations
@@ -77,12 +78,14 @@ _ETYPE_PRIORITY = {
 _ETYPE_BY_PRIORITY = tuple(sorted(_ETYPE_PRIORITY, key=_ETYPE_PRIORITY.__getitem__))
 
 _OBSERVATION = _ETYPE_PRIORITY[EntityType.OBSERVATION]
-#: An observation value after its name: a colon or whitespace, a number or
-#: a ratio, then an optional unit. Compiled case-insensitive.
+#: An observation value after its name: a colon or whitespace, optionally
+#: ``was``, ``is`` or ``of`` and whitespace, a number or a ratio, then an
+#: optional unit. Compiled case-insensitive.
 OBSERVATION_VALUE = (
-    r"(?:\s*:\s*|\s+)(?P<value>\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+    r"(?:\s*:\s*|\s+)(?:(?:was|is|of)\s+)?"
+    r"(?P<value>\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
     r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min"
-    r"|bpm|lbs?|kg|cm|sec|%|f|c))?)(?!\w)"
+    r"|x10\^9/l|x10\^3/ul|bpm|lbs?|kg|cm|sec|%|°c|°f|f|c))?)(?!\w)"
 )
 _VALUE = re.compile(OBSERVATION_VALUE, re.IGNORECASE)
 _VALUE_AT_END = re.compile(OBSERVATION_VALUE + r"\Z", re.IGNORECASE)
@@ -118,13 +121,12 @@ class ClinicalNote:
 class Sentence:
     start: int
     end: int
-    index: int
 
 
 @dataclass(frozen=True, slots=True)
 class EntityMention:
-    mention_id: str
-    note_id: str
+    """A typed span of a note, which its ``span`` identifies in the note."""
+
     start: int
     end: int
     text: str
@@ -226,7 +228,7 @@ def segment(text: str) -> list[Sentence]:
         left = len(chunk) - len(chunk.lstrip())
         right = len(chunk.rstrip())
         if right > left:
-            sentences.append(Sentence(start + left, start + right, len(sentences)))
+            sentences.append(Sentence(start + left, start + right))
         start = pos = end
     return sentences
 
@@ -323,16 +325,9 @@ def extract_entities(
                 if sentence is not None:
                     candidates.append((start - end, start, priority, end, sentence))
 
-    note_id = note.note_id
     return [
         EntityMention(
-            f"{note_id}:{start}-{end}",
-            note_id,
-            start,
-            end,
-            text[start:end],
-            _ETYPE_BY_PRIORITY[priority],
-            sentence,
+            start, end, text[start:end], _ETYPE_BY_PRIORITY[priority], sentence
         )
         for _, start, priority, end, sentence in _resolve_overlaps(candidates)
     ]

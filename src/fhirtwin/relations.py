@@ -39,9 +39,11 @@ class RelationType(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Relation:
+    """A link between two mentions of one note, named by their spans."""
+
     rtype: RelationType
-    head: str
-    tail: str
+    head_span: tuple[int, int]
+    tail_span: tuple[int, int]
 
 
 def load_cues(path: str | Path) -> tuple[str, ...]:
@@ -73,26 +75,25 @@ def extract_relations(
     ``extract_entities`` returns them: in start order their ends are then
     sorted too, which the nearest-mention lookups rely on.
 
+    ``sentences[i]`` holds the mentions whose ``sentence_index`` is ``i``.
     Output is deduplicated and sorted by (sentence, head start, relation
     type), so identical inputs always produce identical lists.
     """
-    mentions = [a.mention for a in annotated]
     by_sentence: dict[int, list[EntityMention]] = {}
-    for mention in mentions:
-        by_sentence.setdefault(mention.sentence_index, []).append(mention)
+    for item in annotated:
+        by_sentence.setdefault(item.mention.sentence_index, []).append(item.mention)
 
     cue_patterns = _cue_patterns(tuple(cues))
 
-    start_of = {m.mention_id: m.start for m in mentions}
     found: dict[Relation, tuple[int, int, str]] = {}
 
     def add(relation: Relation, sentence_index: int) -> None:
         found.setdefault(
-            relation, (sentence_index, start_of[relation.head], relation.rtype.value)
+            relation, (sentence_index, relation.head_span[0], relation.rtype.value)
         )
 
-    for sentence in sentences:
-        group = sorted(by_sentence.get(sentence.index, []), key=_START)
+    for sentence_index, sentence in enumerate(sentences):
+        group = sorted(by_sentence.get(sentence_index, []), key=_START)
         if not group:
             continue
 
@@ -105,10 +106,8 @@ def extract_relations(
             if mention.etype == EntityType.MEDICATION:
                 med = mention
             elif mention.etype == EntityType.DOSAGE and med is not None:
-                relation = Relation(
-                    RelationType.HAS_DOSAGE, med.mention_id, mention.mention_id
-                )
-                add(relation, sentence.index)
+                relation = Relation(RelationType.HAS_DOSAGE, med.span, mention.span)
+                add(relation, sentence_index)
             if mention.etype in _SYMPTOM_HEADS:
                 heads.append(mention)
             if mention.etype == EntityType.CONDITION:
@@ -126,9 +125,7 @@ def extract_relations(
                 if h == 0 or t == len(tails):
                     continue
                 head, tail = heads[h - 1], tails[t]
-                relation = Relation(
-                    RelationType.SYMPTOM_OF, head.mention_id, tail.mention_id
-                )
-                add(relation, sentence.index)
+                relation = Relation(RelationType.SYMPTOM_OF, head.span, tail.span)
+                add(relation, sentence_index)
 
     return sorted(found, key=found.__getitem__)

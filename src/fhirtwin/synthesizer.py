@@ -17,17 +17,16 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from fhirtwin import fhir_assembly
-from fhirtwin.evaluation import CorpusCase, GoldAnnotations, GoldMention, GoldRelation
+from fhirtwin.evaluation import CorpusCase, GoldAnnotations, GoldMention
 from fhirtwin.fhir_assembly import DEFAULT_TIMESTAMP
 from fhirtwin.ner import ClinicalNote, check_id
 from fhirtwin.normalizer import normalize_key
 from fhirtwin.pipeline import check_ratios
-from fhirtwin.relations import RelationType
+from fhirtwin.relations import Relation, RelationType
 from fhirtwin.terminology import (
     EntityType,
     MalformedRowError,
@@ -62,6 +61,10 @@ class Lab:
     value: str
     unit: str
     timestamp: str
+
+    def __post_init__(self):
+        if self.timestamp and not fhir_assembly.DATE_TIME.fullmatch(self.timestamp):
+            raise ValueError(f"timestamp {self.timestamp!r} is not an R4 dateTime")
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def synthesize(
     blocks = fhir_assembly.SharedBlocks(patient)
     builder = _NoteBuilder()
     gold_mentions: list[GoldMention] = []
-    gold_relations: list[GoldRelation] = []
+    gold_relations: list[Relation] = []
     resources = []
 
     def add_condition(description: str, concept, span: tuple[int, int]) -> None:
@@ -248,7 +251,7 @@ def synthesize(
                 )
             )
             gold_relations.append(
-                GoldRelation(RelationType.HAS_DOSAGE, drug_span, dosage_span)
+                Relation(RelationType.HAS_DOSAGE, drug_span, dosage_span)
             )
             dosage_texts = [builder.text[dosage_span[0] : dosage_span[1]]]
         else:
@@ -345,8 +348,9 @@ def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
     Cells are stripped, and a first line whose first cell is ``patient_id``
     is a header. A missing table is tolerated with a warning; when none is
     present this raises ``FileNotFoundError``. A row whose patient id
-    ``ner.check_id`` rejects raises ``MalformedRowError``. Records come
-    back sorted by patient id.
+    ``ner.check_id`` rejects, or whose lab timestamp is neither empty nor
+    an R4 ``dateTime``, raises ``MalformedRowError``. Records come back
+    sorted by patient id.
     """
     tables_dir = Path(tables_dir)
     items: dict[str, dict[str, list]] = {}
@@ -361,9 +365,12 @@ def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
             patient_id, *rest = (cell.strip() for cell in cells)
             if line_no == 1 and patient_id.lower() == "patient_id":
                 continue
-            check_id("patient_id", patient_id, partial(MalformedRowError, path, line_no))
-            fields = items.setdefault(patient_id, {})
-            fields.setdefault(record_field, []).append(make_item(*rest))
+            try:
+                check_id("patient_id", patient_id)
+                item = make_item(*rest)
+            except ValueError as exc:
+                raise MalformedRowError(path, line_no, str(exc)) from None
+            items.setdefault(patient_id, {}).setdefault(record_field, []).append(item)
     if not found:
         raise FileNotFoundError(errno.ENOENT, "no input tables found", str(tables_dir))
     return [

@@ -277,9 +277,7 @@ def oracle_segment(text):
         left = len(chunk) - len(chunk.lstrip())
         right = len(chunk.rstrip())
         if right > left:
-            sentences.append(
-                Sentence(seg_start + left, seg_start + right, len(sentences))
-            )
+            sentences.append(Sentence(seg_start + left, seg_start + right))
         seg_start = boundary + 1 if boundary < n and text[boundary] == "\n" else boundary
     return sentences
 
@@ -311,9 +309,10 @@ ORACLE_PATTERNS = {
         (
             "OBS_VALUE",
             rf"(?<![^\W_])(?P<name>{ORACLE_OBSERVATION_NAMES})"
-            r"(?:\s*:\s*|\s+)\d+(?:\.\d+)?(?:\s?/\s?\d+(?:\.\d+)?)?"
+            r"(?:\s*:\s*|\s+)(?:(?:was|is|of)\s+)?\d+(?:\.\d+)?"
+            r"(?:\s?/\s?\d+(?:\.\d+)?)?"
             r"(?:\s?(?:mmhg|mg/dl|mmol/l|meq/l|g/dl|k/ul|u/l|ng/ml|pg/ml|mm/hr|/min"
-            r"|bpm|lbs?|kg|cm|sec|%|f|c))?(?!\w)",
+            r"|x10\^9/l|x10\^3/ul|bpm|lbs?|kg|cm|sec|%|°c|°f|f|c))?(?!\w)",
         ),
         ("DATE_ISO", r"\b\d{4}-\d{2}-\d{2}\b"),
         ("DATE_US", r"\b\d{1,2}/\d{1,2}/\d{2,4}\b"),
@@ -326,9 +325,9 @@ ORACLE_PATTERNS = {
 
 def oracle_containing_sentence(sentences, start, end):
     """Index of the first sentence holding ``[start, end)``, or ``None``."""
-    for sentence in sentences:
+    for index, sentence in enumerate(sentences):
         if sentence.start <= start and end <= sentence.end:
-            return sentence.index
+            return index
     return None
 
 
@@ -372,14 +371,13 @@ _CONDITION = frozenset({EntityType.CONDITION})
 def oracle_extract_relations(annotated, sentences, note_text, cues):
     """The relation rules, scanning the whole sentence for every lookup."""
     mentions = [a.mention for a in annotated]
-    start_of = {m.mention_id: m.start for m in mentions}
     cue_patterns = [
         re.compile(r"\b" + re.escape(cue) + r"\b", re.IGNORECASE) for cue in cues
     ]
     found = {}
-    for sentence in sentences:
+    for sentence_index, sentence in enumerate(sentences):
         group = sorted(
-            (m for m in mentions if m.sentence_index == sentence.index),
+            (m for m in mentions if m.sentence_index == sentence_index),
             key=lambda m: m.start,
         )
         for mention in group:
@@ -387,12 +385,8 @@ def oracle_extract_relations(annotated, sentences, note_text, cues):
                 continue
             med = nearest_preceding(group, mention.start, _MED)
             if med is not None:
-                relation = Relation(
-                    RelationType.HAS_DOSAGE, med.mention_id, mention.mention_id
-                )
-                found.setdefault(
-                    relation, (sentence.index, start_of[med.mention_id], "has-dosage")
-                )
+                relation = Relation(RelationType.HAS_DOSAGE, med.span, mention.span)
+                found.setdefault(relation, (sentence_index, med.start, "has-dosage"))
         sentence_text = note_text[sentence.start : sentence.end]
         for cue_pattern in cue_patterns:
             for match in cue_pattern.finditer(sentence_text):
@@ -400,14 +394,10 @@ def oracle_extract_relations(annotated, sentences, note_text, cues):
                 cue_end = sentence.start + match.end()
                 head = nearest_preceding(group, cue_start, _SYMPTOM_HEADS)
                 tail = nearest_following(group, cue_end, _CONDITION)
-                if head is None or tail is None or head.mention_id == tail.mention_id:
+                if head is None or tail is None or head.span == tail.span:
                     continue
-                relation = Relation(
-                    RelationType.SYMPTOM_OF, head.mention_id, tail.mention_id
-                )
-                found.setdefault(
-                    relation, (sentence.index, start_of[head.mention_id], "symptom-of")
-                )
+                relation = Relation(RelationType.SYMPTOM_OF, head.span, tail.span)
+                found.setdefault(relation, (sentence_index, head.start, "symptom-of"))
     return sorted(found, key=found.__getitem__)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fhirtwin.cli import ABSENT, check, load_notes, main
+from fhirtwin.fhir_assembly import DATE_TIME
 from fhirtwin.pipeline import Pipeline, default_data_dir
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, tree
@@ -129,8 +130,12 @@ def test_synthesize_malformed_table_names_file(tmp_path, capsys):
             {"prescriptions.csv": b"p1,Lisinopril,10mg,daily\n\xff\n"},
             "{dir}/prescriptions.csv: 'utf-8' codec",
         ),
+        (
+            {"labevents.csv": "p1,BP,1,,2023-01-01T00:00:00Z\np1,BP,1,,last tuesday\n"},
+            "{dir}/labevents.csv:2: timestamp 'last tuesday' is not an R4 dateTime",
+        ),
     ],
-    ids=["bad_row", "empty_patient_id", "no_tables", "not_utf8"],
+    ids=["bad_row", "empty_patient_id", "no_tables", "not_utf8", "lab_timestamp"],
 )
 def test_synthesize_bad_tables_are_one_error_line_and_exit_1(
     tmp_path, capsys, files, reason
@@ -318,8 +323,16 @@ def test_json_notes_with_non_string_fields_are_skipped(tmp_path, caplog):
         ("broken.json", b'{"text": "BP 120/80."', "Expecting ','"),
         ("string.json", b'"BP 120/80 and some text"', "not a JSON object"),
         ("folder.txt", None, "Is a directory"),
+        (
+            "bad_time.json",
+            b'{"timestamp": "last tuesday", "text": "BP 120/80."}',
+            "timestamp: not a string in R4 dateTime form or null",
+        ),
     ],
-    ids=["empty_note_id", "not_utf8", "not_json", "not_an_object", "directory"],
+    ids=[
+        "empty_note_id", "not_utf8", "not_json", "not_an_object", "directory",
+        "timestamp_not_a_date_time",
+    ],
 )
 def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
     notes = tmp_path / "notes"
@@ -355,6 +368,10 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
             '{"notes": [{"note_id": "n1", "timestamp": {"x": 1}}]}',
             "notes[0].timestamp: not a string",
         ),
+        (
+            '{"notes": [{"note_id": "n1", "timestamp": "last tuesday"}]}',
+            "notes[0].timestamp: not a string in R4 dateTime form or null",
+        ),
     ],
     ids=[
         "not_json",
@@ -363,6 +380,7 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
         "entry_not_an_object",
         "entry_without_note_id",
         "timestamp_not_a_string",
+        "timestamp_not_a_date_time",
     ],
 )
 def test_bad_manifest_is_skipped(tmp_path, caplog, content, reason):
@@ -515,6 +533,11 @@ def test_evaluate_empty_corpus(tmp_path):
             '{"notes": [{"note_id": "p001-note", "patient_id": "p001", '
             '"timestamp": 5}]}',
         ),
+        (
+            "manifest.json",
+            '{"notes": [{"note_id": "p001-note", "patient_id": "p001", '
+            '"timestamp": "last tuesday"}]}',
+        ),
     ],
     ids=[
         "gold_missing",
@@ -523,6 +546,7 @@ def test_evaluate_empty_corpus(tmp_path):
         "note_not_utf8",
         "manifest_entry_without_patient",
         "manifest_timestamp_not_a_string",
+        "manifest_timestamp_not_a_date_time",
     ],
 )
 def test_evaluate_bad_corpus_file_names_it(corpus, tmp_path, caplog, relative, content):
@@ -749,6 +773,11 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         ({}, "dictionary =\n", "{config}: dictionary: empty value"),
         ({}, "dictionary = , \n", "{config}: dictionary: no file named"),
         ({}, "default_timestamp =\n", "{config}: default_timestamp: empty value"),
+        (
+            {},
+            "default_timestamp = last tuesday\n",
+            "{config}: default_timestamp: 'last tuesday' is not an R4 dateTime",
+        ),
         ({}, "out =\n", "{config}: out: empty value"),
         ({}, "patterns = \n", "{config}: patterns: empty value"),
         ({}, "seed =\n", "{config}: seed: empty value"),
@@ -800,6 +829,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "dictionary_empty",
         "dictionary_only_commas",
         "default_timestamp_empty",
+        "default_timestamp_not_a_date_time",
         "out_empty",
         "patterns_empty",
         "seed_empty",
@@ -939,6 +969,23 @@ def test_a_failing_note_or_patient_exits_3(tmp_path, monkeypatch, caplog):
         ({"e": [{"t": "B"}]}, {"e": [{"t": frozenset("AB")}]}, None),
         ({"e": [{"t": "C"}]}, {"e": [{"t": frozenset("AB")}]}, "e[0].t: not one of A, B"),
         ("text", {"a": int}, "not a JSON object"),
+        *(
+            pytest.param(value, DATE_TIME, error, id=f"date_time-{value}")
+            for value, error in (
+                ("2023-03-01T08:30:00Z", None),
+                ("2023-03-01T08:30:00.25-05:00", None),
+                ("2023-03", None),
+                ("last tuesday", "not a string in R4 dateTime form"),
+                ("2023-03-01T08:30Z", "not a string in R4 dateTime form"),
+                (5, "not a string in R4 dateTime form"),
+            )
+        ),
+        pytest.param(
+            {"t": "2023-03-01 "},
+            {"t": (DATE_TIME, None)},
+            "t: not a string in R4 dateTime form or null",
+            id="date_time_or_null",
+        ),
     ],
 )
 def test_check(value, shape, error):

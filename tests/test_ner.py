@@ -63,7 +63,7 @@ def test_segment_offsets_verified_by_slicing():
         "BP 145/92.",
         "Started Lisinopril 10mg daily.",
     ]
-    assert [s.index for s in sentences] == [0, 1]
+    assert [(s.start, s.end) for s in sentences] == [(0, 10), (11, 41)]
 
 
 def test_segment_abbreviation_guard():
@@ -433,15 +433,16 @@ def _oracle_valued_observations(index, text):
 
 
 #: ``pattern_text`` with more observation names, spelled as the dictionary,
-#: its synonyms or only the oracle has them, and with letters that fold to
-#: a name's letters in one of the two only.
+#: its synonyms or only the oracle has them, with letters that fold to a
+#: name's letters in one of the two only, and with linking words and units.
 observation_text = st.lists(
     st.one_of(
         st.sampled_from(list("0123456789/-.: \nİıſKabgmxz_")),
         st.sampled_from(
             ["BP", "bp", "hr", "Bun", "a1c", "hba1c", "Hgb", "O2 sat", "o2  sat",
              "heart rate", "Heart  rate", "ınr", "İnr", "ſodium", "weight", "mg",
-             "mmHg", "mg/dL", "g/dL", "%", "bpm", "F", "c"]
+             "mmHg", "mg/dL", "g/dL", "%", "bpm", "F", "c", "was", "IS", "of",
+             "x10^9/L", "x10^3/uL", "°C", "°f"]
         ),
     ),
     max_size=30,

@@ -26,8 +26,6 @@ from conftest import FIG1_TEXT, TABLE3_TEXT, write_dictionary
 
 def mention(text, etype, start=0):
     return EntityMention(
-        mention_id=f"n1:{start}-{start + len(text)}",
-        note_id="n1",
         start=start,
         end=start + len(text),
         text=text,
@@ -181,6 +179,13 @@ def test_per_mention_results_ignore_siblings(index):
         ("Heart rate : 88 bpm", "Heart rate", "88 bpm"),
         ("Blood  pressure 120 / 80", "Blood  pressure", "120 / 80"),
         ("O2 sat 95%", "O2 sat", "95%"),
+        ("Glucose was 180 mg/dL", "Glucose", "180 mg/dL"),
+        ("Heart rate of 88 bpm", "Heart rate", "88 bpm"),
+        ("BP: is 120/80", "BP", "120/80"),
+        ("WBC 12 x10^9/L", "WBC", "12 x10^9/L"),
+        ("Platelets 250 x10^3/uL", "Platelets", "250 x10^3/uL"),
+        ("Temperature 38.5°C", "Temperature", "38.5°C"),
+        ("Temperature 101 °F", "Temperature", "101 °F"),
         ("145/92", "145/92", ""),
         (": 5", ": 5", ""),
     ],

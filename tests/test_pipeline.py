@@ -235,7 +235,7 @@ observation_values = st.builds(
     st.sampled_from(
         ["", " mmHg", "mg/dL", " mmol/L", " mEq/L", " g/dL", " K/uL", " U/L",
          " ng/mL", " pg/mL", " mm/hr", "/min", " bpm", " lb", " lbs", " kg",
-         " cm", " sec", "%", " %", " F", " C"]
+         " cm", " sec", "%", " %", " F", " C", " x10^9/L", "x10^3/uL", "°C", " °F"]
     ),
 )
 
@@ -244,7 +244,7 @@ observation_values = st.builds(
 @given(
     data=st.data(),
     spell=st.sampled_from([str, str.upper, str.title]),
-    separator=st.sampled_from([" ", ":", " : ", "  "]),
+    separator=st.sampled_from([" ", ":", " : ", "  ", " was ", " is ", ": of  "]),
     value=observation_values,
 )
 def test_an_observation_name_and_value_make_one_coded_observation(
@@ -274,6 +274,7 @@ def test_an_observation_name_and_value_make_one_coded_observation(
     assert [a.mention.etype for a in annotation.annotated] == [EntityType.OBSERVATION]
 
 
+
 def test_coded_blocks_are_bounded_by_concept_and_text(config, benchmark_cases):
     """The pipeline keeps one coded block per distinct (concept, text) pair
     it has assembled, however many notes repeat the pair."""
@@ -292,18 +293,23 @@ def test_coded_blocks_are_bounded_by_concept_and_text(config, benchmark_cases):
     assert len(pairs) < len(benchmark_cases["short_notes"]) / 5
 
 
-_MENTION = EntityMention("n1:0-3", "n1", 0, 3, "flu", EntityType.CONDITION, 0)
+_MENTION = EntityMention(0, 3, "flu", EntityType.CONDITION, 0)
 _CONCEPT = NormalizedConcept(CodeSystem.SNOMED, "6142004", "Influenza", 1.0)
 
 
 @pytest.mark.parametrize(
     "record, field, other",
     [
-        (Sentence(0, 10, 0), "end", 12),
+        (Sentence(0, 10), "end", 12),
         (_MENTION, "text", "flu!"),
         (_CONCEPT, "score", 0.9),
         (AnnotatedMention(_MENTION, _CONCEPT), "concept", None),
-        (Relation(RelationType.HAS_DOSAGE, "n1:0-3", "n1:4-8"), "tail", "n1:9-12"),
+        pytest.param(
+            Relation(RelationType.HAS_DOSAGE, (0, 3), (4, 8)),
+            "tail_span",
+            (9, 12),
+            id="Relation-tail_span-(9, 12)",
+        ),
         (ValidationIssue("r1", "C1", Severity.ERROR, "no coding"), "rule", "C2"),
         (FhirResource("Condition", "r1", {"code": {"text": "flu"}}), "id", "r2"),
     ],

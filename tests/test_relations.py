@@ -5,9 +5,10 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhirtwin.cli import annotation_to_dict
 from fhirtwin.ner import ClinicalNote, EntityMention, extract_entities, segment
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
-from fhirtwin.pipeline import default_data_dir
+from fhirtwin.pipeline import NoteAnnotation, default_data_dir
 from fhirtwin.relations import RelationType, extract_relations, load_cues
 from fhirtwin.terminology import EntityType
 
@@ -24,8 +25,8 @@ def annotate(text, pipeline):
 
 
 def relation_texts(annotated, rels):
-    by_id = {a.mention.mention_id: a.mention.text for a in annotated}
-    return [(r.rtype, by_id[r.head], by_id[r.tail]) for r in rels]
+    by_span = {a.mention.span: a.mention.text for a in annotated}
+    return [(r.rtype, by_span[r.head_span], by_span[r.tail_span]) for r in rels]
 
 
 def test_table3_single_dosage_relation(pipeline):
@@ -61,9 +62,9 @@ def nearest_preceding_oracle(annotated):
         pairs.append((med, dose))
     best = {}
     for med, dose in pairs:
-        current = best.get(dose.mention_id)
+        current = best.get(dose.span)
         if current is None or med.start > current[0].start:
-            best[dose.mention_id] = (med, dose)
+            best[dose.span] = (med, dose)
     return sorted(
         (med.text, dose.text) for med, dose in best.values()
     )
@@ -121,15 +122,16 @@ def test_each_dosage_is_tail_at_most_once(pipeline):
     )
     annotated, sentences, _ = annotate(text, pipeline)
     rels = extract_relations(annotated, sentences, text, pipeline.cues)
-    tails = [r.tail for r in rels if r.rtype == RelationType.HAS_DOSAGE]
+    tails = [r.tail_span for r in rels if r.rtype == RelationType.HAS_DOSAGE]
     assert len(tails) == len(set(tails))
 
 
 def test_sentence_locality(pipeline):
     annotated, sentences, text = annotate(TABLE3_TEXT, pipeline)
-    by_id = {a.mention.mention_id: a.mention for a in annotated}
+    by_span = {a.mention.span: a.mention for a in annotated}
     for rel in extract_relations(annotated, sentences, text, pipeline.cues):
-        assert by_id[rel.head].sentence_index == by_id[rel.tail].sentence_index
+        head, tail = by_span[rel.head_span], by_span[rel.tail_span]
+        assert head.sentence_index == tail.sentence_index
 
 
 def test_determinism(pipeline):
@@ -193,8 +195,6 @@ def drawn_notes(draw):
         if sentence_index is None:
             continue
         mention = EntityMention(
-            mention_id=f"g:{start}-{end}",
-            note_id="g",
             start=start,
             end=end,
             text=text[start:end],
@@ -215,9 +215,25 @@ def drawn_notes(draw):
 )
 def test_relations_match_quadratic_reference(note, cues):
     annotated, sentences, text = note
-    assert extract_relations(annotated, sentences, text, cues) == (
-        oracle_extract_relations(annotated, sentences, text, cues)
-    )
+    rels = extract_relations(annotated, sentences, text, cues)
+    assert rels == oracle_extract_relations(annotated, sentences, text, cues)
+
+    # Each relation joins two distinct mentions of one sentence by their
+    # spans, and the annotation file names both by <note_id>:<start>-<end>.
+    by_span = {a.mention.span: a.mention for a in annotated}
+    for relation in rels:
+        head, tail = by_span[relation.head_span], by_span[relation.tail_span]
+        assert head is not tail and head.sentence_index == tail.sentence_index
+    note = ClinicalNote("g", "p", None, text)
+    body = annotation_to_dict(NoteAnnotation(note, tuple(annotated), tuple(rels)))
+    span_of = {}
+    for mention in body["mentions"]:
+        assert mention["mention_id"] == f"g:{mention['start']}-{mention['end']}"
+        span_of[mention["mention_id"]] = [mention["start"], mention["end"]]
+    assert len(body["relations"]) == len(rels)
+    for relation in body["relations"]:
+        assert span_of[relation["head"]] == relation["head_span"]
+        assert span_of[relation["tail"]] == relation["tail_span"]
 
 
 def test_relations_match_reference_on_a_long_medication_list(pipeline):

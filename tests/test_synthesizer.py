@@ -341,6 +341,12 @@ TABLES = {
 #: stripped.
 cell = st.text(" abXY019.-/%", max_size=6)
 patient_id = st.text("pq012", min_size=1, max_size=3)
+#: A lab timestamp cell: empty or an R4 ``dateTime``, padded or not. The
+#: colons are safe here: only a diagnosis code splits at one.
+lab_timestamp = st.sampled_from(
+    ["", " ", "2023", "2023-01", "2023-01-02", "2023-01-02T03:04:05Z",
+     " 2024-02-29T23:59:60.5+14:00 "]
+)
 #: Blank, whitespace-only and comment lines, which the loader skips
 #: wherever they are.
 junk_line = st.sampled_from(["", "   ", "\t", " \t ", "# comment", "  # a, b, c", "#,,,"])
@@ -356,6 +362,8 @@ def table_file(draw, name):
         lines += draw(st.lists(junk_line, max_size=2))
         pid = draw(patient_id)
         cells = [draw(cell) for _ in range(header.count(","))]
+        if item_type is Lab:
+            cells[-1] = draw(lab_timestamp)
         fields = [c.strip() for c in cells]
         if item_type is Diagnosis:
             tag = draw(st.sampled_from(["", "ICD10", "SNOMED"]))
