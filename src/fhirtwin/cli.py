@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -70,15 +69,15 @@ def _read_note_text(path: Path) -> str:
 #
 # A shape is a type (``str``, or ``int``, which excludes ``bool``), ``None``,
 # a tuple of alternatives, ``[shape]`` for a list of that shape, ``[int,
-# int]`` for a span, a frozenset of the strings allowed, a compiled regex
-# that a string must match in full, or a dict of fields. A dict shape
+# int]`` for a span, a frozenset of the strings allowed, a function that
+# must return true for a string, or a dict of fields. A dict shape
 # allows keys it does not name, and a field whose alternatives include
 # ``ABSENT`` may be left out.
 
 ABSENT = object()
 _TEXT = (str, ABSENT)
 _SPAN = [int, int]
-_DATE_TIME = fhir_assembly.DATE_TIME
+_DATE_TIME = fhir_assembly.is_date_time
 _ENTRY = {"note_id": str, "patient_id": _TEXT, "timestamp": (_DATE_TIME, None, ABSENT)}
 #: A ``manifest.json`` beside or above a notes directory.
 MANIFEST = {"notes": ([_ENTRY], ABSENT)}
@@ -136,8 +135,8 @@ def check(value, shape, where: str = "") -> None:
             return
         if isinstance(shape, frozenset) and isinstance(value, str) and value in shape:
             return
-        if isinstance(shape, re.Pattern) and isinstance(value, str):
-            if shape.fullmatch(value):
+        if callable(shape) and not isinstance(shape, type) and isinstance(value, str):
+            if shape(value):
                 return
         if value is shape or type(value) is shape:
             return

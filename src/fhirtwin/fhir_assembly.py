@@ -46,6 +46,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -62,14 +63,29 @@ CLINICAL_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-clinical"
 VERIFICATION_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-ver-status"
 
 DEFAULT_TIMESTAMP = "2024-01-01T00:00:00Z"
-#: An R4 ``dateTime`` (hl7.org/fhir/R4/datatypes.html#dateTime), when it
-#: matches a whole string: what every timestamp read from input must be.
+#: The form of an R4 ``dateTime`` (hl7.org/fhir/R4/datatypes.html#dateTime),
+#: when it matches a whole string; ``is_date_time`` also checks the day.
 DATE_TIME = re.compile(
     r"([0-9]([0-9]([0-9][1-9]|[1-9]0)|[1-9]00)|[1-9]000)(-(0[1-9]|1[0-2])"
     r"(-(0[1-9]|[1-2][0-9]|3[0-1])(T([01][0-9]|2[0-3]):[0-5][0-9]:([0-5][0-9]|60)"
     r"(\.[0-9]+)?(Z|(\+|-)((0[0-9]|1[0-3]):[0-5][0-9]|14:00)))?)?)?"
 )
 PLACEHOLDER_DOSAGE = "as directed"
+
+
+def is_date_time(value: str) -> bool:
+    """Whether ``value`` is an R4 ``dateTime`` on a real calendar day, as
+    every timestamp read from input must be: ``DATE_TIME`` checks the form,
+    and ``datetime.date`` the day of a full date (so not ``2023-02-31``)."""
+    if not DATE_TIME.fullmatch(value):
+        return False
+    if len(value) < 10:  # a year, or a year and month
+        return True
+    try:
+        date.fromisoformat(value[:10])
+    except ValueError:
+        return False
+    return True
 
 
 def _read_only(self, *args, **kwargs):

@@ -15,11 +15,11 @@ from typing import Optional, Sequence
 
 from fhirtwin import fhir_assembly, ner, relations, terminology
 from fhirtwin.fhir_assembly import (
-    DATE_TIME,
     DEFAULT_TIMESTAMP,
     FhirResource,
     TwinBundle,
     ValidationIssue,
+    is_date_time,
 )
 from fhirtwin.ner import ClinicalNote, PatternSet
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
@@ -115,7 +115,7 @@ def load_config_file(path: str | Path) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}: {key}: {exc}") from None
         elif key == "default_timestamp":
-            if not DATE_TIME.fullmatch(value):
+            if not is_date_time(value):
                 raise ValueError(f"{path}: {key}: {value!r} is not an R4 dateTime")
             parsed[key] = value
         elif key in _BOOL_KEYS:

@@ -63,7 +63,7 @@ class Lab:
     timestamp: str
 
     def __post_init__(self):
-        if self.timestamp and not fhir_assembly.DATE_TIME.fullmatch(self.timestamp):
+        if self.timestamp and not fhir_assembly.is_date_time(self.timestamp):
             raise ValueError(f"timestamp {self.timestamp!r} is not an R4 dateTime")
 
 

@@ -12,14 +12,17 @@ must point directly at canonical forms, never at other aliases.
 
 These two and every other setup table (patterns, templates and the
 synthesizer's structured tables) are read through ``table_rows``, which
-skips blank, whitespace-only and ``#`` lines and checks each row's cell
-count; each loader then checks its own cells. A bad row of any of them is
-one ``MalformedRowError``, ``<file>:<line>: <reason>``.
+skips blank, whitespace-only and ``#`` lines, splits each line with
+``str.split`` (only a comma line holding a ``"`` goes through
+``csv.reader``) and checks each row's cell count; each loader then checks
+its own cells. A bad row of any of them is one ``MalformedRowError``,
+``<file>:<line>: <reason>``: a line holding NUL and a line ``csv`` cannot
+parse are bad rows of every table, on every Python version.
 
-``load_terminology`` builds an index in one pass: it streams the rows of
-every dictionary, in file order, into one staging dict, keeps the first
-entry of each concept per surface, and attaches the synonym map, which
-``load_synonyms`` has already checked for self-loops and chains.
+``load_terminology`` builds an index in one flat loop per dictionary: it
+checks each row's cells, in file order, into one staging dict, keeps the
+first entry of each concept per surface, and attaches the synonym map,
+which ``load_synonyms`` has already checked for self-loops and chains.
 
 Indexes are immutable once built and safe to share across threads. Each
 keeps a memo of what a normalized surface resolves to, created empty on
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class MalformedRowError(ValueError):
@@ -88,15 +91,23 @@ CODEABLE_TYPES = frozenset(
     {EntityType.CONDITION, EntityType.MEDICATION, EntityType.OBSERVATION}
 )
 
+# The members of each enum by name, as ``CodeSystem[name]`` finds them,
+# without a call of Enum's ``__getitem__`` per dictionary row.
+_SYSTEMS = dict(CodeSystem.__members__)
+_ENTITY_TYPES = dict(EntityType.__members__)
+
 
 def normalize_surface(surface: str) -> str:
     """Case-fold and collapse internal whitespace; the canonical lookup key."""
     return " ".join(surface.casefold().split())
 
 
-@dataclass(frozen=True)
-class ConceptEntry:
-    """One dictionary row: a surface form bound to an ontology code."""
+class ConceptEntry(NamedTuple):
+    """One dictionary row: a surface form bound to an ontology code.
+
+    A tuple, so building one runs no per-field ``__setattr__``: a load
+    makes one per dictionary row.
+    """
 
     surface_form: str
     system: CodeSystem
@@ -108,8 +119,10 @@ class ConceptEntry:
         return (SYSTEM_PRECEDENCE[self.system], self.code)
 
 
-def _first_per_identity(entries: Iterable[ConceptEntry]) -> tuple[ConceptEntry, ...]:
+def _first_per_identity(entries: Sequence[ConceptEntry]) -> tuple[ConceptEntry, ...]:
     """The first entry of each (system, code, entity type), in first-seen order."""
+    if len(entries) == 1:
+        return tuple(entries)
     unique: dict[tuple[CodeSystem, str, EntityType], ConceptEntry] = {}
     for entry in entries:
         unique.setdefault((entry.system, entry.code, entry.entity_type), entry)
@@ -214,14 +227,23 @@ def table_rows(
     """Yield (line_no, cells) for every data line of a setup table, as
     ``data_lines`` finds them, with its cells unstripped.
 
-    A ``","`` line is split by ``csv.reader`` on that line alone, so a cell
-    may be quoted but cannot span lines; any other delimiter splits the line
-    as it stands. A line without exactly ``columns`` cells raises
-    ``MalformedRowError``.
+    A line is split at ``delimiter`` as it stands, except that a ``","``
+    line holding a ``"`` is split by ``csv.reader`` on that line alone: a
+    cell may be quoted but cannot span lines. ``str.split`` and that reader
+    agree on every other line, since ``data_lines`` never yields a line
+    break or an empty line. A line holding NUL, a line that ``csv`` cannot
+    parse (such as a quoted cell over its field-size limit) and a line
+    without exactly ``columns`` cells each raise ``MalformedRowError``.
     """
+    quoting = delimiter == ","
     for line_no, line in data_lines(path):
-        if delimiter == ",":
-            cells = next(csv.reader([line]))
+        if "\0" in line:
+            raise MalformedRowError(path, line_no, "line contains NUL")
+        if quoting and '"' in line:
+            try:
+                cells = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise MalformedRowError(path, line_no, str(exc)) from None
         else:
             cells = line.split(delimiter)
         if len(cells) != columns:
@@ -229,35 +251,6 @@ def table_rows(
                 path, line_no, f"expected {columns} columns, found {len(cells)}"
             )
         yield line_no, cells
-
-
-def _dictionary_rows(path: Path) -> Iterator[ConceptEntry]:
-    """Parse each data row of one dictionary file, raising on the first
-    malformed one."""
-    for line_no, cells in table_rows(path, 5):
-        raw_surface, raw_system, code, display, raw_type = (c.strip() for c in cells)
-        surface = normalize_surface(raw_surface)
-        if not surface:
-            raise MalformedRowError(path, line_no, "empty surface form")
-        if not code:
-            raise MalformedRowError(path, line_no, "empty code")
-        try:
-            system = CodeSystem[raw_system.upper()]
-        except KeyError:
-            raise MalformedRowError(
-                path, line_no, f"unknown code system {raw_system!r}"
-            ) from None
-        try:
-            entity_type = EntityType[raw_type.upper()]
-        except KeyError:
-            raise MalformedRowError(
-                path, line_no, f"unknown entity type {raw_type!r}"
-            ) from None
-        if entity_type not in CODEABLE_TYPES:
-            raise MalformedRowError(
-                path, line_no, f"entity type {raw_type!r} cannot carry codes"
-            )
-        yield ConceptEntry(surface, system, code, display, entity_type)
 
 
 def load_synonyms(path: str | Path) -> dict[str, str]:
@@ -298,9 +291,37 @@ def load_terminology(
     (system, code) pairs simply register more surface forms for a concept.
     """
     staged: dict[str, list[ConceptEntry]] = {}
-    for path in dictionary_paths:
-        for entry in _dictionary_rows(Path(path)):
-            staged.setdefault(entry.surface_form, []).append(entry)
+    for path in map(Path, dictionary_paths):
+        for line_no, cells in table_rows(path, 5):
+            raw_surface, raw_system, code, display, raw_type = cells
+            surface = normalize_surface(raw_surface)
+            if not surface:
+                raise MalformedRowError(path, line_no, "empty surface form")
+            code = code.strip()
+            if not code:
+                raise MalformedRowError(path, line_no, "empty code")
+            raw_system = raw_system.strip()
+            system = _SYSTEMS.get(raw_system.upper())
+            if system is None:
+                raise MalformedRowError(
+                    path, line_no, f"unknown code system {raw_system!r}"
+                )
+            raw_type = raw_type.strip()
+            entity_type = _ENTITY_TYPES.get(raw_type.upper())
+            if entity_type is None:
+                raise MalformedRowError(
+                    path, line_no, f"unknown entity type {raw_type!r}"
+                )
+            if entity_type not in CODEABLE_TYPES:
+                raise MalformedRowError(
+                    path, line_no, f"entity type {raw_type!r} cannot carry codes"
+                )
+            entry = ConceptEntry(surface, system, code, display.strip(), entity_type)
+            rows = staged.get(surface)
+            if rows is None:
+                staged[surface] = [entry]
+            else:
+                rows.append(entry)
     return TerminologyIndex(
         entries={surface: _first_per_identity(rows) for surface, rows in staged.items()},
         synonym_map={} if synonym_path is None else load_synonyms(synonym_path),

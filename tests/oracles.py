@@ -17,7 +17,10 @@ without its early exit, and the library's ``Sentence`` record).
 ``ORACLE_PATTERNS`` are the bundled patterns as first written, each
 starting with ``\\b`` and listing its names flat. The lookup oracles
 resolve every query afresh from the index's two maps, where the library
-memoises each hit on the index. The bundle oracle builds the plain dict
+memoises each hit on the index. The setup-table oracles read a file the
+way the loader once did: a ``csv.reader`` of its own for every comma line,
+each dictionary row checked through ``Enum`` lookups, and every surface
+deduplicated through a dict. The bundle oracle builds the plain dict
 document that ``to_json`` renders, where the library writes each entry
 straight from its resource, rendering every block afresh. They
 share only definitions with the library (the metric definitions, the
@@ -27,14 +30,22 @@ the surface normalization), never its code paths.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import re
+from pathlib import Path
 
 from fhirtwin.fhir_assembly import FhirResource, TwinBundle
 from fhirtwin.ner import _ETYPE_PRIORITY, ABBREVIATIONS, Sentence
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
-from fhirtwin.terminology import SYSTEM_PRECEDENCE, EntityType, normalize_surface
+from fhirtwin.terminology import (
+    CODEABLE_TYPES,
+    SYSTEM_PRECEDENCE,
+    CodeSystem,
+    EntityType,
+    normalize_surface,
+)
 
 REQUIRED = {
     "Condition": ("code", "clinicalStatus", "verificationStatus", "subject"),
@@ -560,3 +571,70 @@ def oracle_normalize_key(key, etype, index):
             if best is None or rank < best[0]:
                 best = (rank, (entry.system, entry.code, entry.display, score))
     return None if best is None else best[1]
+
+
+# ---------------------------------------------------------------------------
+# Setup tables and dictionaries, read a line and a row at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_table_rows(path, columns, delimiter=","):
+    """Yield (line_no, cells) for every line of a setup table that is neither
+    blank nor a ``#`` comment. A comma line is split by a ``csv.reader`` of
+    its own, any other at ``delimiter``. Raises ``ValueError``, ``<file>:
+    <line>: <reason>``, at the first line holding NUL, that ``csv`` cannot
+    parse or without ``columns`` cells."""
+    with open(path, encoding="utf-8-sig") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            if not raw.strip() or raw.strip().startswith("#"):
+                continue
+            line = raw.rstrip("\n")
+            if "\0" in line:
+                raise ValueError(f"{path}:{line_no}: line contains NUL")
+            if delimiter == ",":
+                try:
+                    cells = next(csv.reader([line]))
+                except csv.Error as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+            else:
+                cells = line.split(delimiter)
+            if len(cells) != columns:
+                raise ValueError(
+                    f"{path}:{line_no}: expected {columns} columns, found {len(cells)}"
+                )
+            yield line_no, cells
+
+
+def oracle_load_entries(dictionary_paths):
+    """The index entries of the dictionaries, in order: normalized surface ->
+    the first (surface, system, code, display, entity type) of each (system,
+    code, entity type), in file order. Raises ``ValueError`` at the first bad
+    row, with the loader's message."""
+    staged = {}
+    for path in map(Path, dictionary_paths):
+        for line_no, cells in oracle_table_rows(path, 5):
+            raw_surface, raw_system, code, display, raw_type = (c.strip() for c in cells)
+            where = f"{path}:{line_no}"
+            surface = normalize_surface(raw_surface)
+            if not surface:
+                raise ValueError(f"{where}: empty surface form")
+            if not code:
+                raise ValueError(f"{where}: empty code")
+            try:
+                system = CodeSystem[raw_system.upper()]
+            except KeyError:
+                raise ValueError(f"{where}: unknown code system {raw_system!r}") from None
+            try:
+                etype = EntityType[raw_type.upper()]
+            except KeyError:
+                raise ValueError(f"{where}: unknown entity type {raw_type!r}") from None
+            if etype not in CODEABLE_TYPES:
+                raise ValueError(f"{where}: entity type {raw_type!r} cannot carry codes")
+            staged.setdefault(surface, []).append((surface, system, code, display, etype))
+    entries = {}
+    for surface, rows in staged.items():
+        unique = {}
+        for row in rows:
+            unique.setdefault((row[1], row[2], row[4]), row)
+        entries[surface] = tuple(unique.values())
+    return entries

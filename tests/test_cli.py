@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fhirtwin.cli import ABSENT, check, load_notes, main
-from fhirtwin.fhir_assembly import DATE_TIME
+from fhirtwin.fhir_assembly import is_date_time
 from fhirtwin.pipeline import Pipeline, default_data_dir
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, tree
@@ -134,8 +134,15 @@ def test_synthesize_malformed_table_names_file(tmp_path, capsys):
             {"labevents.csv": "p1,BP,1,,2023-01-01T00:00:00Z\np1,BP,1,,last tuesday\n"},
             "{dir}/labevents.csv:2: timestamp 'last tuesday' is not an R4 dateTime",
         ),
+        (
+            {"labevents.csv": "p1,BP,1,,2023-02-29\n"},
+            "{dir}/labevents.csv:1: timestamp '2023-02-29' is not an R4 dateTime",
+        ),
     ],
-    ids=["bad_row", "empty_patient_id", "no_tables", "not_utf8", "lab_timestamp"],
+    ids=[
+        "bad_row", "empty_patient_id", "no_tables", "not_utf8", "lab_timestamp",
+        "lab_timestamp_not_a_day",
+    ],
 )
 def test_synthesize_bad_tables_are_one_error_line_and_exit_1(
     tmp_path, capsys, files, reason
@@ -372,6 +379,10 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
             '{"notes": [{"note_id": "n1", "timestamp": "last tuesday"}]}',
             "notes[0].timestamp: not a string in R4 dateTime form or null",
         ),
+        (
+            '{"notes": [{"note_id": "n1", "timestamp": "2023-04-31T10:00:00Z"}]}',
+            "notes[0].timestamp: not a string in R4 dateTime form or null",
+        ),
     ],
     ids=[
         "not_json",
@@ -381,6 +392,7 @@ def test_one_bad_note_file_is_skipped(tmp_path, caplog, name, content, reason):
         "entry_without_note_id",
         "timestamp_not_a_string",
         "timestamp_not_a_date_time",
+        "timestamp_not_a_day",
     ],
 )
 def test_bad_manifest_is_skipped(tmp_path, caplog, content, reason):
@@ -778,6 +790,11 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
             "default_timestamp = last tuesday\n",
             "{config}: default_timestamp: 'last tuesday' is not an R4 dateTime",
         ),
+        (
+            {},
+            "default_timestamp = 2023-02-31T00:00:00Z\n",
+            "{config}: default_timestamp: '2023-02-31T00:00:00Z' is not an R4 dateTime",
+        ),
         ({}, "out =\n", "{config}: out: empty value"),
         ({}, "patterns = \n", "{config}: patterns: empty value"),
         ({}, "seed =\n", "{config}: seed: empty value"),
@@ -830,6 +847,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "dictionary_only_commas",
         "default_timestamp_empty",
         "default_timestamp_not_a_date_time",
+        "default_timestamp_not_a_day",
         "out_empty",
         "patterns_empty",
         "seed_empty",
@@ -891,9 +909,13 @@ def test_no_command_writes_outside_out_whatever_the_ids(
     out = root / "out"
 
     assert main(["synthesize", str(tables), "--out", str(out / "s")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {diagnoses}:2: patient_id {bad_id!r} is not a plain file name part\n"
+    # A setup table rejects a NUL anywhere in a line before reading its cells.
+    reason = (
+        "line contains NUL"
+        if "\0" in bad_id
+        else f"patient_id {bad_id!r} is not a plain file name part"
     )
+    assert capsys.readouterr().err == f"error: {diagnoses}:2: {reason}\n"
     assert main(["extract", str(notes), "--out", str(out / "x")]) == 3
     assert main(["twin", str(notes), "--out", str(out / "t")]) == 3
     for name, field in (
@@ -970,19 +992,23 @@ def test_a_failing_note_or_patient_exits_3(tmp_path, monkeypatch, caplog):
         ({"e": [{"t": "C"}]}, {"e": [{"t": frozenset("AB")}]}, "e[0].t: not one of A, B"),
         ("text", {"a": int}, "not a JSON object"),
         *(
-            pytest.param(value, DATE_TIME, error, id=f"date_time-{value}")
+            pytest.param(value, is_date_time, error, id=f"date_time-{value}")
             for value, error in (
                 ("2023-03-01T08:30:00Z", None),
                 ("2023-03-01T08:30:00.25-05:00", None),
                 ("2023-03", None),
+                ("2024-02-29", None),
                 ("last tuesday", "not a string in R4 dateTime form"),
                 ("2023-03-01T08:30Z", "not a string in R4 dateTime form"),
                 (5, "not a string in R4 dateTime form"),
+                ("2023-02-31", "not a string in R4 dateTime form"),
+                ("2023-02-29", "not a string in R4 dateTime form"),
+                ("2023-04-31T10:00:00Z", "not a string in R4 dateTime form"),
             )
         ),
         pytest.param(
             {"t": "2023-03-01 "},
-            {"t": (DATE_TIME, None)},
+            {"t": (is_date_time, None)},
             "t: not a string in R4 dateTime form or null",
             id="date_time_or_null",
         ),

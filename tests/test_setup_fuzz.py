@@ -3,8 +3,8 @@
 Each example copies the bundled dictionary, synonyms, patterns, cues and
 templates next to a ``--config`` file that names them, then breaks one line
 of one of those six files: a wrong column count, an unknown code system or
-entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a
-synonym that points at itself or at another alias, a template slot that
+entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a NUL
+in a table, a quoted cell over ``csv``'s field-size limit, a synonym that points at itself or at another alias, a template slot that
 its sentence does not fill or one it must use left out, a seed that is not a
 number, split ratios that are not three non-negative numbers summing to 1,
 or a boolean that is not one of its eight spellings. Every command must
@@ -14,6 +14,7 @@ traceback and create no output directory.
 
 from __future__ import annotations
 
+import csv
 import io
 import re
 import tempfile
@@ -36,11 +37,11 @@ DATA_FILES = {
 CONFIG = "fhirtwin.conf"
 #: Which breaks each file can take, besides a non-UTF-8 byte.
 BREAKS = {
-    "terminology.csv": ("columns", "system", "etype", "surface", "code"),
-    "synonyms.csv": ("columns", "self_loop", "chain"),
-    "patterns.tsv": ("columns", "etype", "regex"),
+    "terminology.csv": ("columns", "system", "etype", "surface", "code", "nul", "overlong"),
+    "synonyms.csv": ("columns", "self_loop", "chain", "nul", "overlong"),
+    "patterns.tsv": ("columns", "etype", "regex", "nul"),
     "cues.txt": (),
-    "templates.tsv": ("columns", "slot"),
+    "templates.tsv": ("columns", "slot", "nul"),
     CONFIG: ("columns", "seed", "ratios", "bool"),
 }
 COLUMNS = {
@@ -108,6 +109,9 @@ def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
         # A config value may hold "=", so a config line breaks only by losing it.
         extra = name != CONFIG and data.draw(st.booleans())
         return sep.join(cells + ["extra"]) if extra else sep.join(cells[: count - 1])
+    if how == "nul":
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + "\0" + line[at:]
     if how in CONFIG_VALUES:
         key = line.partition("=")[0].strip()
         return f"{key} = {data.draw(st.sampled_from(CONFIG_VALUES[how][1]))}"
@@ -121,6 +125,9 @@ def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
         cells[0] = data.draw(st.sampled_from(["", "  "]))
     elif how == "code":
         cells[2] = data.draw(st.sampled_from(["", " "]))
+    elif how == "overlong":
+        at = data.draw(st.integers(0, count - 1))
+        cells[at] = '"' + "x" * (csv.field_size_limit() + 1) + '"'
     elif how == "regex":
         cells[2] = data.draw(st.sampled_from(BAD_REGEXES))
     elif how == "self_loop":

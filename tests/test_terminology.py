@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +16,22 @@ from fhirtwin.synthesizer import load_records, load_templates
 from fhirtwin.terminology import (
     CODEABLE_TYPES,
     CodeSystem,
+    ConceptEntry,
     EntityType,
     MalformedRowError,
     load_synonyms,
     load_terminology,
     normalize_surface,
+    table_rows,
 )
 
 from conftest import write_dictionary
-from oracles import oracle_lookup, oracle_normalize_key
+from oracles import (
+    oracle_load_entries,
+    oracle_lookup,
+    oracle_normalize_key,
+    oracle_table_rows,
+)
 
 
 def test_load_terminology_maps_hypertension_row(tmp_path):
@@ -109,6 +120,50 @@ def test_every_setup_table_names_a_wrong_cell_count_alike(tmp_path, load, name, 
     with pytest.raises(MalformedRowError) as excinfo:
         load(path)
     assert str(excinfo.value) == f"{path}:{reason}"
+
+
+#: One table of each loader: how to load it, its file name, a good line and
+#: its delimiter.
+SETUP_TABLES = {
+    "dictionary": (
+        lambda path: load_terminology([path]),
+        "dict.csv",
+        "hypertension,SNOMED,38341003,Hypertensive disorder,CONDITION",
+    ),
+    "synonyms": (load_synonyms, "syn.csv", "htn,hypertension"),
+    "patterns": (load_patterns, "patterns.tsv", "DOSE\tDOSAGE\t\\d+ ?mg"),
+    "templates": (load_templates, "templates.tsv", "lab\t{test} {value} {unit}."),
+    "prescriptions": (
+        lambda path: load_records(path.parent),
+        "prescriptions.csv",
+        "p1,Lisinopril,10mg,daily",
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(SETUP_TABLES))
+@pytest.mark.parametrize("at", [0, 3, -1])
+def test_every_setup_table_rejects_a_nul_alike(tmp_path, table, at):
+    load, name, line = SETUP_TABLES[table]
+    cut = len(line) if at == -1 else at
+    path = tmp_path / name
+    path.write_text(f"# a comment\n{line[:cut]}\0{line[cut:]}\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}:2: line contains NUL"
+
+
+@pytest.mark.parametrize("table", ["dictionary", "synonyms", "prescriptions"])
+def test_a_quoted_cell_over_the_csv_field_limit_is_a_bad_row(tmp_path, table):
+    load, name, line = SETUP_TABLES[table]
+    cells = line.split(",")
+    cells[-1] = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+    path = tmp_path / name
+    path.write_text(",".join(cells) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRowError) as excinfo:
+        load(path)
+    limit = csv.field_size_limit()
+    assert str(excinfo.value) == f"{path}:1: field larger than field limit ({limit})"
 
 
 def test_unknown_entity_type_is_malformed(tmp_path):
@@ -344,3 +399,105 @@ def test_memo_is_bounded_by_keys_and_aliases(config):
         for etype in CODEABLE_TYPES:
             normalize_key(surface.upper(), etype, index)
     assert len(index._resolutions) <= len(index.entries) + len(index.synonym_map)
+
+
+# ---------------------------------------------------------------------------
+# Setup tables and dictionaries against the line-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+#: Characters of a drawn setup-table line: both delimiters, the quote, NUL,
+#: ``#``, whitespace that ``str.split()`` and ``str.strip()`` treat as such
+#: but a file does not break lines at (vertical tab, the file separator,
+#: NEL, the line separator), and letters.
+table_line = st.text(
+    st.sampled_from([",", '"', "\t", " ", "\x0b", "\x1c", "\x85", "\u2028", "\0", "#"])
+    | st.sampled_from("abÉ"),
+    max_size=16,
+)
+
+
+def _outcome(rows):
+    """The rows a loader gives, or the message of the error it raises."""
+    try:
+        return list(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=st.lists(table_line, min_size=1, max_size=4),
+    columns=st.integers(1, 5),
+    delimiter=st.sampled_from([",", "\t"]),
+)
+def test_table_rows_split_each_line_as_a_reader_of_its_own(lines, columns, delimiter):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _outcome(table_rows(path, columns, delimiter))
+        assert got == _outcome(oracle_table_rows(path, columns, delimiter))
+
+
+#: Text for a dictionary cell: no NUL, but the delimiter, the quote and
+#: whitespace the line does not break at.
+cell_text = st.text(st.sampled_from([" ", "\t", "\x85", "\u2028", ",", '"', "a", "b", "É"]))
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _cell(draw, valid: list[str], invalid: list[str], text: bool = False) -> str:
+    """Mostly a valid cell, sometimes an invalid one, and with ``text``
+    sometimes quoted ``cell_text``."""
+    if text and draw(st.integers(0, 4)) == 0:
+        return _quoted(draw(cell_text))
+    return draw(st.sampled_from(valid * 12 + invalid))
+
+
+@st.composite
+def dictionary_line(draw):
+    """Mostly a dictionary row, valid or with a bad cell and any cell maybe
+    quoted; else any line at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(table_line)
+    cells = [
+        _cell(draw, ["bp", " BP", "b  p", "ab", "a\x85b"], ["", " "], text=True),
+        _cell(draw, ["SNOMED", " icd10 ", "LOINC", "RxNorm"], ["NDC", ""]),
+        _cell(draw, ["1", "2", " 2 "], ["", "1,2"]),
+        _cell(draw, ["Blood pressure", ' "x" ', ""], [], text=True),
+        _cell(draw, ["CONDITION", " medication", "Observation"], ["DOSAGE", "DRUG", ""]),
+    ]
+    if draw(st.booleans()):
+        cells = [_quoted(c) if draw(st.booleans()) else c for c in cells]
+    return ",".join(cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    files=st.lists(st.lists(dictionary_line(), max_size=6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_load_terminology_matches_the_line_at_a_time_oracle(files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for n, lines in enumerate(files):
+            path = Path(tmp) / f"d{n}.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            written += [path, f"{tmp}/./d{n}.csv"]  # messages name the Path form
+        paths = data.draw(st.lists(st.sampled_from(written), min_size=1, max_size=4))
+        try:
+            index = load_terminology(paths)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = list(index.entries.items())
+            assert all(
+                type(entry) is ConceptEntry for entries in index.entries.values()
+                for entry in entries
+            )
+        try:
+            expected = list(oracle_load_entries(paths).items())
+        except ValueError as exc:
+            expected = str(exc)
+        assert got == expected
