@@ -11,7 +11,8 @@ Dictionary keys are normalized the same way terminology lookup normalizes
 queries: case-fold the verbatim slice and collapse whitespace runs. The
 scanner builds candidate keys incrementally (token + separator at a time)
 and prunes an n-gram as soon as its key stops being a prefix of any
-dictionary key, which is what makes scanning large corpora cheap. The
+dictionary key, which is what makes scanning large corpora cheap. A gap
+between tokens is normalized only when an n-gram grows across it. The
 prefix set is built once per key set and memoised on it, so a large
 dictionary costs nothing per note once its first note has been scanned.
 """
@@ -79,22 +80,21 @@ def dictionary_spans(
     if count == 0 or not keys or max_ngram <= 0:
         return []
     folded = [text[s:e].casefold() for s, e in spans]
-    gaps = [text[end:start] for (_, end), (start, _) in zip(spans, spans[1:])]
-    # A one-space gap, by far the most common, needs no substitution.
-    seps = [gap if gap == " " else _WHITESPACE.sub(" ", gap.casefold()) for gap in gaps]
     prefixes = key_prefixes(keys)
 
     hits: list[tuple[int, int]] = []
     for i in range(count):
         key = folded[i]
         j = i
-        while True:
-            if key not in prefixes:
-                break
+        while key in prefixes:
             if key in keys:
                 hits.append((spans[i][0], spans[j][1]))
             j += 1
             if j >= count or j - i >= max_ngram:
                 break
-            key = key + seps[j - 1] + folded[j]
+            gap = text[spans[j - 1][1] : spans[j][0]]
+            # A one-space gap, by far the most common, needs no substitution.
+            if gap != " ":
+                gap = _WHITESPACE.sub(" ", gap.casefold())
+            key = key + gap + folded[j]
     return hits

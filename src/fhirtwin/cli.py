@@ -378,14 +378,14 @@ def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
     for note in notes:
         try:
             annotation = pipeline.annotate(note)
+            _write_json(
+                out / "annotations" / f"{note.note_id}.json",
+                annotation_to_dict(annotation),
+            )
         except Exception as exc:  # per-note failures never abort the run
             logger.error("note=%s stage=extract failed: %s", note.note_id, exc)
             failed += 1
             continue
-        _write_json(
-            out / "annotations" / f"{note.note_id}.json",
-            annotation_to_dict(annotation),
-        )
         logger.info(
             "note=%s stage=extract mentions=%d relations=%d",
             note.note_id,
@@ -410,18 +410,18 @@ def cmd_twin(args: argparse.Namespace, setup: Setup) -> int:
     for patient_id in sorted(by_patient):
         try:
             twin, issues, _ = pipeline.twin(patient_id, by_patient[patient_id])
-        except Exception as exc:
+            _write_text(
+                out / "bundles" / f"twin_{patient_id}.json",
+                fhir_assembly.bundle_to_json(twin),
+            )
+            _write_text(
+                out / "bundles" / f"twin_{patient_id}.issues.json",
+                fhir_assembly.issues_to_json(issues),
+            )
+        except Exception as exc:  # per-patient failures never abort the run
             logger.error("patient=%s stage=twin failed: %s", patient_id, exc)
             failed += 1
             continue
-        _write_text(
-            out / "bundles" / f"twin_{patient_id}.json",
-            fhir_assembly.bundle_to_json(twin),
-        )
-        _write_text(
-            out / "bundles" / f"twin_{patient_id}.issues.json",
-            fhir_assembly.issues_to_json(issues),
-        )
         errors = sum(1 for i in issues if i.severity.value == "ERROR")
         logger.info(
             "patient=%s stage=twin resources=%d errors=%d warnings=%d",

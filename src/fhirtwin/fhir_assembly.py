@@ -529,19 +529,15 @@ def bundle(
     their first occurrence.
     """
     rejected = {i.resource_id for i in issues if i.severity == Severity.ERROR}
-    entries: list[FhirResource] = [patient]
-    seen: set[str] = {patient.id}
-    for resource_type in PROFILE:
-        group = sorted(
-            (r for r in resources if r.resource_type == resource_type),
-            key=lambda r: r.id,
-        )
-        for resource in group:
-            if resource.id in rejected or resource.id in seen:
-                continue
-            seen.add(resource.id)
-            entries.append(resource)
-    return TwinBundle(entries=tuple(entries))
+    groups: dict[str, list[FhirResource]] = {name: [] for name in PROFILE}
+    for resource in resources:
+        if resource.resource_type in groups and resource.id not in rejected:
+            groups[resource.resource_type].append(resource)
+    entries: dict[str, FhirResource] = {patient.id: patient}
+    for group in groups.values():
+        for resource in sorted(group, key=lambda r: r.id):
+            entries.setdefault(resource.id, resource)
+    return TwinBundle(entries=tuple(entries.values()))
 
 
 # ---------------------------------------------------------------------------

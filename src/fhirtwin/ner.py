@@ -10,7 +10,8 @@ Observation names come from the dictionary alone, and
 ``OBSERVATION_VALUE`` is the one grammar of the value that may follow one,
 both in ``extract_entities`` and in ``split_observation_text``.
 
-``segment`` and ``token_spans`` scan the text with one regex each.
+``segment`` and ``token_spans`` scan the text with one regex each; a run
+of periods alone ends no sentence when its first period is guarded.
 
 ``extract_entities`` makes one tuple per candidate,
 ``(start - end, start, priority, end, sentence index)``, whose natural
@@ -95,14 +96,21 @@ _VALUE_AT_END = re.compile(OBSERVATION_VALUE + r"\Z", re.IGNORECASE)
 Candidate = tuple[int, int, int, int, int]
 
 
+#: A 255-byte file name less the longest affix the CLI adds to an id.
+MAX_ID_BYTES = 255 - len("twin_.issues.json")
+
+
 def check_id(field: str, value: str, error: Callable[[str], Exception] = ValueError):
     """Raise ``error(reason)`` unless ``value``, a note or patient id, can
-    name a file: it must be non-empty, not ``.`` or ``..``, and hold no
-    ``/``, ``\\`` or NUL."""
+    name a file: it must be non-empty, not ``.`` or ``..``, hold no ``/``,
+    ``\\`` or NUL, and encode to at most ``MAX_ID_BYTES`` UTF-8 bytes (a
+    lone surrogate raises ``UnicodeEncodeError``, a ``ValueError``)."""
     if not value:
         raise error(f"{field} must be non-empty")
     if value in (".", "..") or any(c in value for c in "/\\\0"):
         raise error(f"{field} {value!r} is not a plain file name part")
+    if len(value.encode()) > MAX_ID_BYTES:
+        raise error(f"{field} {value!r} is longer than {MAX_ID_BYTES} UTF-8 bytes")
 
 
 @dataclass(frozen=True)
@@ -145,12 +153,7 @@ class Pattern:
     regex: re.Pattern
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    patterns: tuple[Pattern, ...]
-
-
-def load_patterns(path: str | Path) -> PatternSet:
+def load_patterns(path: str | Path) -> tuple[Pattern, ...]:
     """Load a tab-separated pattern file: NAME<TAB>ETYPE<TAB>REGEX per line."""
     patterns: list[Pattern] = []
     for line_no, (name, raw_type, regex) in table_rows(path, 3, "\t"):
@@ -164,7 +167,7 @@ def load_patterns(path: str | Path) -> PatternSet:
         except re.error as exc:
             raise MalformedRowError(path, line_no, f"bad regex: {exc}") from None
         patterns.append(Pattern(name.strip(), etype, compiled))
-    return PatternSet(tuple(patterns))
+    return tuple(patterns)
 
 
 def split_observation_text(text: str) -> tuple[str, str]:
@@ -208,28 +211,29 @@ def segment(text: str) -> list[Sentence]:
     Terminator punctuation stays inside its sentence; surrounding
     whitespace does not. Empty segments are dropped.
 
-    A break that starts with a guarded period is searched for again from
-    the next character, so the rest of its run can still split (``mg.!``).
-    A newline right after a run of terminators makes a blank segment.
+    A sentence ends after each newline and each maximal run of
+    terminators (``mg.!`` ends after ``!``), except a run of periods alone
+    whose first period is guarded, and at the end of the text. The
+    periods of a run lie in one maximal run of alphanumerics and periods,
+    so they share the first one's abbreviation verdict, and a period
+    guarded by the digit rule has a digit after it, so its run is that
+    one period.
     """
+    ends = [
+        match.end()
+        for match in _BREAK.finditer(text)
+        if match[0].strip(".") or not _guarded_period(text, match.start())
+    ]
+    ends.append(len(text))
     sentences: list[Sentence] = []
-    n = len(text)
-    start = pos = 0
-    while start < n:
-        match = _BREAK.search(text, pos)
-        if match is None:
-            end = n
-        elif text[match.start()] == "." and _guarded_period(text, match.start()):
-            pos = match.start() + 1
-            continue
-        else:
-            end = match.end()
+    start = 0
+    for end in ends:
         chunk = text[start:end]
         left = len(chunk) - len(chunk.lstrip())
         right = len(chunk.rstrip())
         if right > left:
             sentences.append(Sentence(start + left, start + right))
-        start = pos = end
+        start = end
     return sentences
 
 
@@ -275,7 +279,7 @@ def _resolve_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
 def extract_entities(
     note: ClinicalNote,
     index: TerminologyIndex,
-    patterns: PatternSet,
+    patterns: tuple[Pattern, ...],
 ) -> list[EntityMention]:
     """Extract typed, non-overlapping entity mentions from a note.
 
@@ -316,7 +320,7 @@ def extract_entities(
                         end = value.end()
                         candidates.append((start - end, start, priority, end, sentence))
 
-    for pattern in patterns.patterns:
+    for pattern in patterns:
         priority = _ETYPE_PRIORITY[pattern.etype]
         for match in pattern.regex.finditer(text):
             start, end = match.span()

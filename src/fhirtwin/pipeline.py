@@ -21,7 +21,7 @@ from fhirtwin.fhir_assembly import (
     ValidationIssue,
     is_date_time,
 )
-from fhirtwin.ner import ClinicalNote, PatternSet
+from fhirtwin.ner import ClinicalNote, Pattern
 from fhirtwin.normalizer import AnnotatedMention, normalize_all
 from fhirtwin.relations import Relation
 from fhirtwin.terminology import TerminologyIndex, data_lines
@@ -168,7 +168,7 @@ class Pipeline:
 
     config: PipelineConfig
     index: TerminologyIndex = field(init=False)
-    patterns: PatternSet = field(init=False)
+    patterns: tuple[Pattern, ...] = field(init=False)
     cues: tuple[str, ...] = field(init=False)
     concept_blocks: dict = field(init=False, repr=False)
 

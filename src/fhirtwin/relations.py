@@ -85,12 +85,8 @@ def extract_relations(
 
     cue_patterns = _cue_patterns(tuple(cues))
 
-    found: dict[Relation, tuple[int, int, str]] = {}
-
-    def add(relation: Relation, sentence_index: int) -> None:
-        found.setdefault(
-            relation, (sentence_index, relation.head_span[0], relation.rtype.value)
-        )
+    # (rtype, head span, tail span) -> its sentence, in first-found order.
+    found: dict[tuple[RelationType, tuple[int, int], tuple[int, int]], int] = {}
 
     for sentence_index, sentence in enumerate(sentences):
         group = sorted(by_sentence.get(sentence_index, []), key=_START)
@@ -106,8 +102,8 @@ def extract_relations(
             if mention.etype == EntityType.MEDICATION:
                 med = mention
             elif mention.etype == EntityType.DOSAGE and med is not None:
-                relation = Relation(RelationType.HAS_DOSAGE, med.span, mention.span)
-                add(relation, sentence_index)
+                relation = (RelationType.HAS_DOSAGE, med.span, mention.span)
+                found.setdefault(relation, sentence_index)
             if mention.etype in _SYMPTOM_HEADS:
                 heads.append(mention)
             if mention.etype == EntityType.CONDITION:
@@ -125,7 +121,8 @@ def extract_relations(
                 if h == 0 or t == len(tails):
                     continue
                 head, tail = heads[h - 1], tails[t]
-                relation = Relation(RelationType.SYMPTOM_OF, head.span, tail.span)
-                add(relation, sentence_index)
+                relation = (RelationType.SYMPTOM_OF, head.span, tail.span)
+                found.setdefault(relation, sentence_index)
 
-    return sorted(found, key=found.__getitem__)
+    ranked = sorted(found, key=lambda r: (found[r], r[1][0], r[0].value))
+    return [Relation(*relation) for relation in ranked]

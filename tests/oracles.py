@@ -22,10 +22,12 @@ way the loader once did: a ``csv.reader`` of its own for every comma line,
 each dictionary row checked through ``Enum`` lookups, and every surface
 deduplicated through a dict. The bundle oracle builds the plain dict
 document that ``to_json`` renders, where the library writes each entry
-straight from its resource, rendering every block afresh. They
+straight from its resource, rendering every block afresh. The oracles
 share only definitions with the library (the metric definitions, the
 allowed code systems, the overlap tie-break priority, the relation types,
-the surface normalization), never its code paths.
+the surface normalization), never its code paths. ``fact_projection`` is
+no oracle: it reads a bundle's facts through the evaluator's field
+fingerprints, for the whole-pipeline invariants.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import itertools
 import re
 from pathlib import Path
 
+from fhirtwin.evaluation import REQUIRED_FIELDS, _field_fingerprint
 from fhirtwin.fhir_assembly import FhirResource, TwinBundle
 from fhirtwin.ner import _ETYPE_PRIORITY, ABBREVIATIONS, Sentence
 from fhirtwin.normalizer import SYSTEMS_BY_TYPE
@@ -126,6 +129,20 @@ def bundle_to_dict(twin: TwinBundle) -> dict:
         "type": twin.bundle_type,
         "entry": [{"resource": resource_to_dict(r)} for r in twin.entries],
     }
+
+
+def fact_projection(twin: TwinBundle) -> list[tuple]:
+    """What a bundle states, apart from resource ids and entry order: each
+    profiled resource as its type and the ``_field_fingerprint`` of each of
+    its ``REQUIRED_FIELDS``, sorted."""
+    return sorted(
+        (
+            (r.resource_type, tuple(_field_fingerprint(r, f) for f in fields))
+            for r in twin.entries
+            if (fields := REQUIRED_FIELDS.get(r.resource_type)) is not None
+        ),
+        key=repr,
+    )
 
 
 def _non_patient(twin: TwinBundle) -> list[dict]:

@@ -9,6 +9,7 @@ import pytest
 
 from fhirtwin.cli import ABSENT, check, load_notes, main
 from fhirtwin.fhir_assembly import is_date_time
+from fhirtwin.ner import MAX_ID_BYTES
 from fhirtwin.pipeline import Pipeline, default_data_dir
 
 from conftest import FIG1_TEXT, TABLE3_TEXT, tree
@@ -880,7 +881,16 @@ def test_setup_error_is_one_line_and_exit_1(tmp_path, capsys, files, config, rea
 
 
 @pytest.mark.parametrize(
-    "bad_id", ["sub/n1", "../../escaped", "..", ".", "a\\b", "nul\0"]
+    "bad_id",
+    [
+        "sub/n1",
+        "../../escaped",
+        "..",
+        ".",
+        "a\\b",
+        "nul\0",
+        pytest.param("x" * 300, id="300_chars"),
+    ],
 )
 def test_no_command_writes_outside_out_whatever_the_ids(
     tables_dir, tmp_path, caplog, capsys, bad_id
@@ -909,12 +919,13 @@ def test_no_command_writes_outside_out_whatever_the_ids(
     out = root / "out"
 
     assert main(["synthesize", str(tables), "--out", str(out / "s")]) == 1
-    # A setup table rejects a NUL anywhere in a line before reading its cells.
-    reason = (
-        "line contains NUL"
-        if "\0" in bad_id
-        else f"patient_id {bad_id!r} is not a plain file name part"
+    why = (
+        f"is longer than {MAX_ID_BYTES} UTF-8 bytes"
+        if len(bad_id) > MAX_ID_BYTES
+        else "is not a plain file name part"
     )
+    # A setup table rejects a NUL anywhere in a line before reading its cells.
+    reason = "line contains NUL" if "\0" in bad_id else f"patient_id {bad_id!r} {why}"
     assert capsys.readouterr().err == f"error: {diagnoses}:2: {reason}\n"
     assert main(["extract", str(notes), "--out", str(out / "x")]) == 3
     assert main(["twin", str(notes), "--out", str(out / "t")]) == 3
@@ -923,7 +934,7 @@ def test_no_command_writes_outside_out_whatever_the_ids(
         ("n.json", "note_id"),
         ("p.json", "patient_id"),
     ):
-        assert f"skipping {notes / name}: {field} {bad_id!r} is not a plain" in caplog.text
+        assert f"skipping {notes / name}: {field} {bad_id!r} {why}" in caplog.text
     assert main(["evaluate", str(corpus), "--out", str(out / "e")]) == 2
     assert f"bad corpus file {corpus / 'manifest.json'}: ValueError: note_id" in caplog.text
 
@@ -975,6 +986,52 @@ def test_a_failing_note_or_patient_exits_3(tmp_path, monkeypatch, caplog):
         "twin_good.issues.json",
         "twin_good.json",
     ]
+
+
+def test_an_id_of_the_longest_allowed_length_is_written(tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    # A two-byte character, so the limit counts UTF-8 bytes, not characters.
+    longest = "é" * (MAX_ID_BYTES // 2)
+    too_long = longest + "x"
+    for note_id in (longest, too_long):
+        (notes / f"{note_id}.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 3
+    assert main(["twin", str(notes), "--out", str(out)]) == 3
+    assert sorted(path.name for path in tree(out)) == [
+        f"twin_{longest}.issues.json",
+        f"twin_{longest}.json",
+        f"{longest}.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("extract", "annotations/n1.json"),
+        ("twin", "bundles/twin_n1.json"),
+        ("twin", "bundles/twin_n1.issues.json"),
+    ],
+)
+def test_an_unwritable_output_fails_only_its_item(tmp_path, caplog, command, blocked):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    for note_id in ("n1", "n2"):
+        (notes / f"{note_id}.txt").write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, str(notes), "--out", str(out)]) == 3
+    item = "note" if command == "extract" else "patient"
+    assert caplog.text.count(f"stage={command} failed") == 1
+    assert f"{item}=n1 stage={command} failed: [Errno 21]" in caplog.text
+    # n2 is written, and so is n1's bundle when only its issues file fails.
+    if command == "extract":
+        expected = {"annotations/n2.json"}
+    else:
+        twins = ("twin_n1.json", "twin_n2.json", "twin_n2.issues.json")
+        expected = {f"bundles/{name}" for name in twins} - {blocked}
+    assert {path.as_posix() for path in tree(out)} == expected
 
 
 @pytest.mark.parametrize(

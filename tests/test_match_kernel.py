@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin._match import pymatch
-from fhirtwin.ner import ClinicalNote, PatternSet, extract_entities
+from fhirtwin.ner import ClinicalNote, extract_entities
 from fhirtwin.terminology import load_terminology
 
 from conftest import scanner_text, write_dictionary
@@ -184,10 +184,9 @@ def test_indexes_from_different_dictionaries_match_only_their_own_surfaces(tmp_p
         ]
     )
     note = ClinicalNote("n1", "p1", None, "Chronic kidney disease; started lisinopril.")
-    no_patterns = PatternSet(())
     cases = ((conditions, ["Chronic kidney disease"]), (medications, ["lisinopril"]))
     for index, expected in cases * 2:
-        assert [m.text for m in extract_entities(note, index, no_patterns)] == expected
+        assert [m.text for m in extract_entities(note, index, ())] == expected
 
 
 def test_prefix_memo_lets_a_discarded_key_set_go():
