@@ -25,6 +25,7 @@ by its note and span; no string id is made for it.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -103,13 +104,18 @@ MAX_ID_BYTES = 255 - len("twin_.issues.json")
 def check_id(field: str, value: str, error: Callable[[str], Exception] = ValueError):
     """Raise ``error(reason)`` unless ``value``, a note or patient id, can
     name a file: it must be non-empty, not ``.`` or ``..``, hold no ``/``,
-    ``\\`` or NUL, and encode to at most ``MAX_ID_BYTES`` UTF-8 bytes (a
-    lone surrogate raises ``UnicodeEncodeError``, a ``ValueError``)."""
+    ``\\`` or NUL, and take at most ``MAX_ID_BYTES`` bytes as a file name
+    (``os.fsencode``, which gives back the bytes of a name that was not
+    UTF-8)."""
     if not value:
         raise error(f"{field} must be non-empty")
     if value in (".", "..") or any(c in value for c in "/\\\0"):
         raise error(f"{field} {value!r} is not a plain file name part")
-    if len(value.encode()) > MAX_ID_BYTES:
+    try:
+        size = len(os.fsencode(value))
+    except UnicodeEncodeError:
+        raise error(f"{field} {value!r} cannot name a file") from None
+    if size > MAX_ID_BYTES:
         raise error(f"{field} {value!r} is longer than {MAX_ID_BYTES} UTF-8 bytes")
 
 

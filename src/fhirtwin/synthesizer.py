@@ -170,6 +170,11 @@ def _resolve(name: str, etype: EntityType, index: TerminologyIndex):
     return concept
 
 
+def note_id_of(patient_id: str) -> str:
+    """The id of the note ``synthesize`` renders for a patient."""
+    return f"{patient_id}-note"
+
+
 def synthesize(
     record: StructuredRecord,
     templates: TemplateSet,
@@ -179,7 +184,7 @@ def synthesize(
     """Render one record into a note with aligned gold and reference bundle."""
     if not (record.diagnoses or record.medications or record.labs):
         raise ValueError(f"record {record.patient_id!r} has no items")
-    note_id = f"{record.patient_id}-note"
+    note_id = note_id_of(record.patient_id)
 
     lab_times = sorted(lab.timestamp for lab in record.labs if lab.timestamp)
     timestamp = lab_times[0] if lab_times else default_timestamp
@@ -367,6 +372,7 @@ def load_records(tables_dir: str | Path) -> list[StructuredRecord]:
                 continue
             try:
                 check_id("patient_id", patient_id)
+                check_id("note_id", note_id_of(patient_id))
                 item = make_item(*rest)
             except ValueError as exc:
                 raise MalformedRowError(path, line_no, str(exc)) from None

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -1004,6 +1006,36 @@ def test_an_id_of_the_longest_allowed_length_is_written(tmp_path):
         f"twin_{longest}.json",
         f"{longest}.json",
     ]
+
+
+def test_a_patient_id_whose_note_id_is_too_long_is_a_bad_row(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    diagnoses = tables / "diagnoses.csv"
+    # The note id adds "-note", so the longest patient id is 5 bytes short.
+    longest = "p" * (MAX_ID_BYTES - len("-note"))
+    diagnoses.write_text(f"{longest},ICD10:I10,hypertension\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synthesize", str(tables), "--out", str(out / "ok")]) == 0
+    assert (out / "ok" / "notes" / f"{longest}-note.txt").is_file()
+    diagnoses.write_text(f"{longest}p,ICD10:I10,hypertension\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["synthesize", str(tables), "--out", str(out / "bad")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {diagnoses}:1: note_id '{longest}p-note' "
+        f"is longer than {MAX_ID_BYTES} UTF-8 bytes\n"
+    )
+    assert not (out / "bad").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names of any bytes")
+def test_a_note_file_name_that_is_not_utf8_is_extracted(tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / os.fsdecode(b"n\xff.txt")).write_text(TABLE3_TEXT + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["extract", str(notes), "--out", str(out)]) == 0
+    assert os.listdir(os.fsencode(out / "annotations")) == [b"n\xff.json"]
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,11 @@ def test_build_patient_rejects_empty_id():
         build_patient("")
 
 
+def test_build_patient_rejects_an_id_that_cannot_name_a_file():
+    with pytest.raises(EmptyPatientIdError, match="cannot name a file"):
+        build_patient("\ud800")
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
