@@ -5,9 +5,10 @@ progress and per-note counters are logged to standard error. Every
 command is idempotent over its output directory: re-running with the
 same inputs, config and seed rewrites identical bytes.
 
-Exit codes: 0 ok, 1 bad setup, 2 a bad ``evaluate`` corpus, 3 a partial
-``synthesize``/``extract``/``twin`` run. Input JSON is read through
-``_read_json`` only.
+Exit codes: 0 ok; 1 bad setup, an output directory under ``--out``
+included; 2 a bad ``evaluate`` corpus; 3 a partial run of any command,
+which skipped an input or failed on an item. Every output file is written
+through ``_write_items`` and input JSON is read through ``_read_json``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from fhirtwin import fhir_assembly
 from fhirtwin.evaluation import (
@@ -45,16 +47,15 @@ from fhirtwin.terminology import CodeSystem, EntityType
 
 logger = logging.getLogger("fhirtwin")
 
+#: The names of ``split_corpus``'s buckets, in its order.
+_SPLITS = ("train", "validation", "test")
 #: What every command reads first, in this order; see ``main``.
 Setup = tuple[PipelineConfig, Pipeline, TemplateSet]
-
-
-def _write_json(path: Path, body) -> None:
-    path.write_text(fhir_assembly.to_json(body), encoding="utf-8")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+#: What an item of a command's outputs builds: its files' texts by path
+#: under the output directory, and the counters its log line gives.
+Built = tuple[dict[str, str], dict[str, object]]
+#: One item of a command's outputs: its log label and how to build it.
+Item = tuple[str, Callable[[], Built]]
 
 
 def _read_note_text(path: Path) -> str:
@@ -292,6 +293,39 @@ def annotation_to_dict(annotation: NoteAnnotation) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _write_items(
+    out: Path, stage: str, dirs: Iterable[str], items: Iterable[Item], skipped: int = 0
+) -> int:
+    """Write a command's outputs and return its exit code.
+
+    Makes ``out`` and its ``dirs`` first; failing that, nothing is written
+    and the run is a setup error. Then, for each ``(label, build)`` item in
+    order, writes the files ``build`` returns, by path under ``out``, and
+    logs ``<label> stage=<stage>`` with the counters it returns. An item
+    that raises is logged as failed, keeps the files it wrote, and the run
+    goes on; the exit code is 3 when an item failed or an input was
+    ``skipped``.
+    """
+    try:
+        for name in ("", *dirs):
+            (out / name).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        return _setup_error(exc)
+    failed = 0
+    for label, build in items:
+        try:
+            files, counters = build()
+            for path, text in files.items():
+                (out / path).write_text(text, encoding="utf-8")
+        except Exception as exc:  # one item's failure never aborts the run
+            logger.error("%s stage=%s failed: %s", label, stage, exc)
+            failed += 1
+            continue
+        counts = " ".join(f"{name}={value}" for name, value in counters.items())
+        logger.info("%s stage=%s %s", label, stage, counts)
+    return 3 if skipped or failed else 0
+
+
 def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
     config, pipeline, templates = setup
     try:
@@ -314,56 +348,41 @@ def cmd_synthesize(args: argparse.Namespace, setup: Setup) -> int:
         except UnresolvableRecordError as exc:
             logger.warning("skipping patient %s: %s", record.patient_id, exc)
             skipped += 1
-    train, val, test = split_corpus(cases, config.split_ratios, config.seed)
+    cases.sort(key=lambda c: c.note.note_id)
+    splits = split_corpus(cases, config.split_ratios, config.seed)
+    split_of = {c.note.note_id: name for name, cs in zip(_SPLITS, splits) for c in cs}
 
-    split_of = {}
-    for name, bucket in (("train", train), ("validation", val), ("test", test)):
-        for case in bucket:
-            split_of[case.note.note_id] = name
+    def written(case: CorpusCase) -> Built:
+        note_id, patient_id = case.note.note_id, case.note.patient_id
+        return {
+            f"notes/{note_id}.txt": case.note.text + "\n",
+            f"gold/{note_id}.json": fhir_assembly.to_json(gold_to_dict(case.gold)),
+            f"references/twin_{patient_id}.json": fhir_assembly.bundle_to_json(case.reference),
+        }, {
+            "mentions": len(case.gold.mentions),
+            "relations": len(case.gold.relations),
+            "split": split_of[note_id],
+        }
 
-    out = config.out_dir
-    for name in ("notes", "gold", "references"):
-        (out / name).mkdir(parents=True, exist_ok=True)
-    manifest_notes = []
-    for case in sorted(cases, key=lambda c: c.note.note_id):
-        note = case.note
-        _write_text(out / "notes" / f"{note.note_id}.txt", note.text + "\n")
-        _write_json(out / "gold" / f"{note.note_id}.json", gold_to_dict(case.gold))
-        _write_text(
-            out / "references" / f"twin_{note.patient_id}.json",
-            fhir_assembly.bundle_to_json(case.reference),
-        )
-        manifest_notes.append(
+    def manifest() -> Built:
+        notes = [
             {
-                "note_id": note.note_id,
-                "patient_id": note.patient_id,
-                "timestamp": note.timestamp,
-                "split": split_of[note.note_id],
+                "note_id": c.note.note_id,
+                "patient_id": c.note.patient_id,
+                "timestamp": c.note.timestamp,
+                "split": split_of[c.note.note_id],
             }
-        )
-        logger.info(
-            "note=%s stage=synthesize mentions=%d relations=%d split=%s",
-            note.note_id,
-            len(case.gold.mentions),
-            len(case.gold.relations),
-            split_of[note.note_id],
-        )
-    _write_json(
-        out / "manifest.json",
-        {
-            "seed": config.seed,
-            "ratios": list(config.split_ratios),
-            "notes": manifest_notes,
-        },
-    )
-    logger.info(
-        "corpus written: %d notes (%d train / %d validation / %d test)",
-        len(cases),
-        len(train),
-        len(val),
-        len(test),
-    )
-    return 3 if skipped else 0
+            for c in cases
+        ]
+        body = {"seed": config.seed, "ratios": list(config.split_ratios), "notes": notes}
+        counts = {"notes": len(cases), **dict(zip(_SPLITS, map(len, splits)))}
+        return {"manifest.json": fhir_assembly.to_json(body)}, counts
+
+    # The manifest comes last and lists every note, written or not.
+    items = [(f"note={c.note.note_id}", partial(written, c)) for c in cases]
+    items.append((f"corpus={config.out_dir}", manifest))
+    dirs = ("notes", "gold", "references")
+    return _write_items(config.out_dir, "synthesize", dirs, items, skipped)
 
 
 def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
@@ -372,27 +391,17 @@ def cmd_extract(args: argparse.Namespace, setup: Setup) -> int:
         notes, skipped = load_notes(args.notes)
     except OSError as exc:
         return _setup_error(exc)
-    out = config.out_dir
-    (out / "annotations").mkdir(parents=True, exist_ok=True)
-    failed = 0
-    for note in notes:
-        try:
-            annotation = pipeline.annotate(note)
-            _write_json(
-                out / "annotations" / f"{note.note_id}.json",
-                annotation_to_dict(annotation),
-            )
-        except Exception as exc:  # per-note failures never abort the run
-            logger.error("note=%s stage=extract failed: %s", note.note_id, exc)
-            failed += 1
-            continue
-        logger.info(
-            "note=%s stage=extract mentions=%d relations=%d",
-            note.note_id,
-            len(annotation.annotated),
-            len(annotation.relations),
-        )
-    return 3 if skipped or failed else 0
+
+    def extracted(note: ClinicalNote) -> Built:
+        annotation = pipeline.annotate(note)
+        body = fhir_assembly.to_json(annotation_to_dict(annotation))
+        return {f"annotations/{note.note_id}.json": body}, {
+            "mentions": len(annotation.annotated),
+            "relations": len(annotation.relations),
+        }
+
+    items = [(f"note={note.note_id}", partial(extracted, note)) for note in notes]
+    return _write_items(config.out_dir, "extract", ("annotations",), items, len(skipped))
 
 
 def cmd_twin(args: argparse.Namespace, setup: Setup) -> int:
@@ -401,36 +410,20 @@ def cmd_twin(args: argparse.Namespace, setup: Setup) -> int:
         notes, skipped = load_notes(args.notes)
     except OSError as exc:
         return _setup_error(exc)
-    out = config.out_dir
-    (out / "bundles").mkdir(parents=True, exist_ok=True)
     by_patient: dict[str, list[ClinicalNote]] = {}
     for note in notes:
         by_patient.setdefault(note.patient_id, []).append(note)
-    failed = 0
-    for patient_id in sorted(by_patient):
-        try:
-            twin, issues, _ = pipeline.twin(patient_id, by_patient[patient_id])
-            _write_text(
-                out / "bundles" / f"twin_{patient_id}.json",
-                fhir_assembly.bundle_to_json(twin),
-            )
-            _write_text(
-                out / "bundles" / f"twin_{patient_id}.issues.json",
-                fhir_assembly.issues_to_json(issues),
-            )
-        except Exception as exc:  # per-patient failures never abort the run
-            logger.error("patient=%s stage=twin failed: %s", patient_id, exc)
-            failed += 1
-            continue
+
+    def twinned(patient_id: str) -> Built:
+        twin, issues, _ = pipeline.twin(patient_id, by_patient[patient_id])
         errors = sum(1 for i in issues if i.severity.value == "ERROR")
-        logger.info(
-            "patient=%s stage=twin resources=%d errors=%d warnings=%d",
-            patient_id,
-            len(twin.entries),
-            errors,
-            len(issues) - errors,
-        )
-    return 3 if skipped or failed else 0
+        return {
+            f"bundles/twin_{patient_id}.json": fhir_assembly.bundle_to_json(twin),
+            f"bundles/twin_{patient_id}.issues.json": fhir_assembly.issues_to_json(issues),
+        }, {"resources": len(twin.entries), "errors": errors, "warnings": len(issues) - errors}
+
+    items = [(f"patient={p}", partial(twinned, p)) for p in sorted(by_patient)]
+    return _write_items(config.out_dir, "twin", ("bundles",), items, len(skipped))
 
 
 class CorpusFileError(Exception):
@@ -505,19 +498,21 @@ def cmd_evaluate(args: argparse.Namespace, setup: Setup) -> int:
     except (EmptyCorpusError, CorpusFileError) as exc:
         logger.error("%s", exc)
         return 2
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report.to_dict())
-    _write_text(out / "summary.tsv", report.summary_row())
-    logger.info(
-        "evaluated %d notes: ner_f1=%.3f re_f1=%s completeness=%.3f interop=%.3f",
-        len(cases),
-        report.ner_f1,
-        "--" if report.re_f1 is None else f"{report.re_f1:.3f}",
-        report.semantic_completeness,
-        report.interoperability,
-    )
-    return 0
+
+    def reported() -> Built:
+        files = {
+            "report.json": fhir_assembly.to_json(report.to_dict()),
+            "summary.tsv": report.summary_row(),
+        }
+        return files, {
+            "notes": len(cases),
+            "ner_f1": f"{report.ner_f1:.3f}",
+            "re_f1": "--" if report.re_f1 is None else f"{report.re_f1:.3f}",
+            "completeness": f"{report.semantic_completeness:.3f}",
+            "interop": f"{report.interoperability:.3f}",
+        }
+
+    return _write_items(config.out_dir, "evaluate", (), [(f"corpus={args.corpus}", reported)])
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,9 @@ class TwinBundle:
 def resource_id(
     patient_id: str, resource_type: str, code_key: str, span_start: object
 ) -> str:
-    digest = hashlib.sha256(
-        f"{patient_id}|{resource_type}|{code_key}|{span_start}".encode("utf-8")
-    ).hexdigest()
-    return digest[:16]
+    key = f"{patient_id}|{resource_type}|{code_key}|{span_start}"
+    # A patient id from a file name that is not UTF-8 hashes that name's bytes.
+    return hashlib.sha256(key.encode("utf-8", "surrogateescape")).hexdigest()[:16]
 
 
 def _codeable_concept(concept: Optional[NormalizedConcept], text: str) -> dict:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -1036,6 +1037,11 @@ def test_a_note_file_name_that_is_not_utf8_is_extracted(tmp_path):
     out = tmp_path / "out"
     assert main(["extract", str(notes), "--out", str(out)]) == 0
     assert os.listdir(os.fsencode(out / "annotations")) == [b"n\xff.json"]
+    assert main(["twin", str(notes), "--out", str(out)]) == 0
+    assert sorted(os.listdir(os.fsencode(out / "bundles"))) == [
+        b"twin_n\xff.issues.json",
+        b"twin_n\xff.json",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1064,6 +1070,50 @@ def test_an_unwritable_output_fails_only_its_item(tmp_path, caplog, command, blo
         twins = ("twin_n1.json", "twin_n2.json", "twin_n2.issues.json")
         expected = {f"bundles/{name}" for name in twins} - {blocked}
     assert {path.as_posix() for path in tree(out)} == expected
+
+
+@pytest.mark.parametrize(
+    "command, blocked", [("synthesize", "notes/p002-note.txt"), ("evaluate", "report.json")]
+)
+def test_an_unwritable_corpus_file_or_report_fails_only_its_item(
+    corpus, tables_dir, tmp_path, caplog, command, blocked
+):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    source = tables_dir if command == "synthesize" else corpus
+    assert main([command, str(source), "--out", str(out)]) == 3
+    assert caplog.text.count(f"stage={command} failed") == 1
+    written = tree(out)
+    if command == "evaluate":
+        assert f"corpus={corpus} stage=evaluate failed: [Errno 21]" in caplog.text
+        assert written == {}
+        return
+    assert "note=p002-note stage=synthesize failed: [Errno 21]" in caplog.text
+    # The other 23 cases are written, and the manifest still lists p002-note,
+    # so evaluating this corpus names the missing file.
+    p002 = {Path(blocked), Path("gold/p002-note.json"), Path("references/twin_p002.json")}
+    assert written == {path: data for path, data in tree(corpus).items() if path not in p002}
+    assert main(["evaluate", str(out), "--out", str(tmp_path / "eval")]) == 2
+    assert f"bad corpus file {out / blocked}: IsADirectoryError" in caplog.text
+
+
+@pytest.mark.parametrize("kind", ["a_file", "nul"])
+@pytest.mark.parametrize("command", ["synthesize", "extract", "twin", "evaluate"])
+def test_an_out_that_cannot_be_made_is_a_setup_error(
+    corpus, tables_dir, tmp_path, capsys, command, kind
+):
+    if kind == "a_file":
+        out = tmp_path / "out"
+        out.write_text("", encoding="utf-8")
+        reason = f"{out}: {os.strerror(errno.EEXIST)}"
+    else:  # as a config file's ``out`` can give
+        out, reason = tmp_path / "o\0ut", "embedded null byte"
+    before = tree(tmp_path)
+    source = tables_dir if command == "synthesize" else corpus
+    capsys.readouterr()
+    assert main([command, str(source), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from fhirtwin.evaluation import (
     gold_from_dict,
     gold_to_dict,
     ner_f1,
-    relation_f1,
 )
 from fhirtwin.fhir_assembly import (
     SharedBlocks,
@@ -62,16 +61,16 @@ def test_ner_f1_two_of_three():
 
 def test_relation_f1_identity_and_disjoint():
     gold = keys(("has-dosage", (0, 5), (6, 10)))
-    assert relation_f1(gold, gold) == (1.0, 1.0, 1.0)
+    assert ner_f1(gold, gold) == (1.0, 1.0, 1.0)
     other = keys(("has-dosage", (20, 25), (26, 30)))
-    assert relation_f1(other, gold) == (0.0, 0.0, 0.0)
+    assert ner_f1(other, gold) == (0.0, 0.0, 0.0)
 
 
 def test_relation_f1_one_spurious():
     # both gold relations found plus one spurious: (2/3, 1, 4/5)
     gold = keys(("has-dosage", (0, 5), (6, 10)), ("symptom-of", (12, 16), (20, 28)))
     predicted = gold + keys(("has-dosage", (30, 35), (36, 40)))
-    precision, recall, f1 = relation_f1(predicted, gold)
+    precision, recall, f1 = ner_f1(predicted, gold)
     assert precision == pytest.approx(2 / 3)
     assert recall == 1.0
     assert f1 == pytest.approx(4 / 5)

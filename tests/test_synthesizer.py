@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fhirtwin.evaluation import (
-    gold_mention_key,
     gold_relation_keys,
     mention_key,
     relation_keys,
@@ -261,7 +260,7 @@ def test_pipeline_reproduces_gold_exactly(pipeline, config, templates, tables_di
         annotation = pipeline.annotate(case.note)
         mentions = [a.mention for a in annotation.annotated]
         predicted = sorted(mention_key(case.note.note_id, m) for m in mentions)
-        gold = sorted(gold_mention_key(case.note.note_id, g) for g in case.gold.mentions)
+        gold = sorted(mention_key(case.note.note_id, g) for g in case.gold.mentions)
         assert predicted == gold, case.note.text
         predicted_rel = sorted(
             relation_keys(case.note.note_id, annotation.relations, mentions)
