@@ -16,8 +16,9 @@ once; ``assemble`` called on its own builds them once per call. These
 shared blocks are ``ReadOnlyDict``/``ReadOnlyList`` at every level: a
 write raises ``TypeError``, while each still compares equal to its plain
 ``dict``/``list`` form, and ``dict(block)`` or
-``json.loads(json.dumps(block))`` give mutable copies. ``assemble`` also
-splits each distinct observation text once per call.
+``json.loads(json.dumps(block))`` give mutable copies. An Observation
+takes its code text and value from the mention's ``name`` and ``value``,
+as extraction matched them.
 
 ``bundle_to_json`` writes the Bundle document straight from the
 ``FhirResource`` entries, with no dict per entry or resource, and sends
@@ -51,12 +52,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from fhirtwin.ner import ClinicalNote, EntityType, check_id
-from fhirtwin.normalizer import (
-    AnnotatedMention,
-    NormalizedConcept,
-    SYSTEMS_BY_TYPE,
-    split_observation_text,
-)
+from fhirtwin.normalizer import AnnotatedMention, NormalizedConcept, SYSTEMS_BY_TYPE
 from fhirtwin.relations import Relation, RelationType
 
 CLINICAL_STATUS_URI = "http://terminology.hl7.org/CodeSystem/condition-clinical"
@@ -415,7 +411,6 @@ def assemble(
         if relation.rtype == RelationType.HAS_DOSAGE:
             dosages.setdefault(relation.head_span, []).append(relation.tail_span)
 
-    observation_parts: dict[str, tuple[str, str]] = {}
     resources: list[FhirResource] = []
     for item in annotated:
         mention, concept = item.mention, item.concept
@@ -427,12 +422,7 @@ def assemble(
                 condition_resource(patient_id, concept, mention.text, start, blocks)
             )
         elif mention.etype == EntityType.OBSERVATION:
-            parts = observation_parts.get(mention.text)
-            if parts is None:
-                parts = observation_parts[mention.text] = split_observation_text(
-                    mention.text
-                )
-            name, value = parts
+            name, value = mention.name, mention.value
             resources.append(
                 observation_resource(
                     patient_id, concept, name, value, timestamp, start, blocks

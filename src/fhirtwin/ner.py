@@ -7,17 +7,17 @@ function of its inputs, so notes can be processed in parallel against a
 shared read-only index.
 
 Observation names come from the dictionary alone, and
-``OBSERVATION_VALUE`` is the one grammar of the value that may follow one,
-both in ``extract_entities`` and in ``split_observation_text``.
+``OBSERVATION_VALUE`` is the one grammar of the value that may follow one.
+``extract_entities`` matches it once, after the name, and the mention
+keeps both parts, so no later stage parses its text again.
 
 ``segment`` and ``token_spans`` scan the text with one regex each; a run
 of periods alone ends no sentence when its first period is guarded.
 
-``extract_entities`` makes one tuple per candidate,
-``(start - end, start, priority, end, sentence index)``, whose natural
-order is the overlap ranking, and gives it its sentence as it is made, so
-a candidate that crosses a sentence boundary is never kept. Each distinct
-dictionary surface of a note is looked up once. ``Sentence`` and
+``extract_entities`` makes one ``Candidate`` tuple per candidate, whose
+natural order is the overlap ranking, and gives it its sentence as it is
+made, so a candidate that crosses a sentence boundary is never kept. Each
+distinct dictionary surface of a note is looked up once. ``Sentence`` and
 ``EntityMention`` are frozen slotted records: they carry no ``__dict__``,
 which keeps the many made per long note small. A mention is identified
 by its note and span; no string id is made for it.
@@ -90,11 +90,11 @@ OBSERVATION_VALUE = (
     r"|x10\^9/l|x10\^3/ul|bpm|lbs?|kg|cm|sec|%|°c|°f|f|c))?)(?!\w)"
 )
 _VALUE = re.compile(OBSERVATION_VALUE, re.IGNORECASE)
-_VALUE_AT_END = re.compile(OBSERVATION_VALUE + r"\Z", re.IGNORECASE)
 
 #: An extraction candidate ranked for overlap resolution:
-#: ``(start - end, start, priority, end, sentence index)``.
-Candidate = tuple[int, int, int, int, int]
+#: ``(start - end, start, priority, end, sentence index, name end, value
+#: start)``. The last two are ``end, end`` unless it is a valued observation.
+Candidate = tuple[int, int, int, int, int, int, int]
 
 
 #: A 255-byte file name less the longest affix the CLI adds to an id.
@@ -139,13 +139,19 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class EntityMention:
-    """A typed span of a note, which its ``span`` identifies in the note."""
+    """A typed span of a note, which its ``span`` identifies in the note.
+
+    A valued observation's ``text`` is its dictionary ``name``, then an
+    ``OBSERVATION_VALUE`` whose ``value`` group is ``value``; any other
+    mention has ``name == text`` and ``value == ""``."""
 
     start: int
     end: int
     text: str
     etype: EntityType
     sentence_index: int
+    name: str
+    value: str
 
     @property
     def span(self) -> tuple[int, int]:
@@ -174,16 +180,6 @@ def load_patterns(path: str | Path) -> tuple[Pattern, ...]:
             raise MalformedRowError(path, line_no, f"bad regex: {exc}") from None
         patterns.append(Pattern(name.strip(), etype, compiled))
     return tuple(patterns)
-
-
-def split_observation_text(text: str) -> tuple[str, str]:
-    """``"BP: 145/92"`` -> ``("BP", "145/92")``: the text before the
-    ``OBSERVATION_VALUE`` that ends it, and that value without its
-    separator; ``(text, "")`` when no name precedes such a value."""
-    match = _VALUE_AT_END.search(text)
-    if match is None or match.start() == 0:
-        return text, ""
-    return text[: match.start()], match["value"]
 
 
 def _guarded_period(text: str, i: int) -> bool:
@@ -261,9 +257,9 @@ def _containing_sentence(
 def _resolve_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     """Longest span wins; ties go to leftmost start, then etype priority.
 
-    Each candidate is ``(start - end, start, priority, end, sentence)``,
-    with the ``_ETYPE_PRIORITY`` of its entity type, so the natural order
-    of the tuples is the ranking and comparing them compares ints only.
+    Each candidate is a ``Candidate``, with the ``_ETYPE_PRIORITY`` of its
+    entity type, so the natural order of the tuples is the ranking and
+    comparing them compares ints only.
     Candidates are non-empty spans, and two of them overlap exactly when
     they share a character. So a candidate is accepted when none of its
     characters is covered by an accepted span yet, which costs time in
@@ -274,7 +270,7 @@ def _resolve_overlaps(candidates: Iterable[Candidate]) -> list[Candidate]:
     covered = bytearray(max((c[3] for c in ranked), default=0))
     accepted: list[Candidate] = []
     for candidate in ranked:
-        _, start, _, end, _ = candidate
+        start, end = candidate[1], candidate[3]
         if covered.find(1, start, end) < 0:
             covered[start:end] = b"\x01" * (end - start)
             accepted.append(candidate)
@@ -291,7 +287,8 @@ def extract_entities(
 
     Dictionary hits are typed by their concept entries; pattern hits by the
     pattern's entity type. An observation hit followed by an
-    ``OBSERVATION_VALUE`` is a candidate both bare and with its value.
+    ``OBSERVATION_VALUE`` is a candidate both bare and with its value, and
+    the valued mention keeps the hit as its ``name``.
     Candidates crossing a sentence boundary are dropped, so every returned
     mention sits inside exactly one sentence. Output is sorted by start
     offset.
@@ -320,11 +317,13 @@ def extract_entities(
             if priority is not None:
                 sentence = _containing_sentence(starts, ends, start, end)
                 if sentence is not None:
-                    candidates.append((start - end, start, priority, end, sentence))
+                    candidates.append((start - end, start, priority, end, sentence, end, end))
                     value = _VALUE.match(text, end) if priority == _OBSERVATION else None
                     if value is not None and value.end() <= ends[sentence]:
-                        end = value.end()
-                        candidates.append((start - end, start, priority, end, sentence))
+                        name_end, value_start, end = end, value.start("value"), value.end()
+                        candidates.append(
+                            (start - end, start, priority, end, sentence, name_end, value_start)
+                        )
 
     for pattern in patterns:
         priority = _ETYPE_PRIORITY[pattern.etype]
@@ -333,11 +332,14 @@ def extract_entities(
             if start < end:
                 sentence = _containing_sentence(starts, ends, start, end)
                 if sentence is not None:
-                    candidates.append((start - end, start, priority, end, sentence))
+                    candidates.append((start - end, start, priority, end, sentence, end, end))
 
-    return [
-        EntityMention(
-            start, end, text[start:end], _ETYPE_BY_PRIORITY[priority], sentence
-        )
-        for _, start, priority, end, sentence in _resolve_overlaps(candidates)
-    ]
+    mentions: list[EntityMention] = []
+    for _, start, priority, end, sentence, name_end, value_start in _resolve_overlaps(
+        candidates
+    ):
+        surface = text[start:end]  # a full slice of a str is that str, not a copy
+        name, value = surface[: name_end - start], surface[value_start - start :]
+        etype = _ETYPE_BY_PRIORITY[priority]
+        mentions.append(EntityMention(start, end, surface, etype, sentence, name, value))
+    return mentions

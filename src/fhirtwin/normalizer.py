@@ -4,11 +4,11 @@ Each codeable mention maps to at most one concept. Exact surface matches
 score 1.0, synonym-resolved matches 0.9; ties fall back to per-type system
 preference (SNOMED over ICD-10 for conditions, LOINC over SNOMED for
 observations) and finally to the smaller code. Dosage and temporal
-mentions never carry codes; they shape resource structure instead. An
-observation mention is looked up on its name alone, as
-``ner.split_observation_text`` parts it from its value.
+mentions never carry codes; they shape resource structure instead. A
+mention is looked up on its ``name``: the dictionary surface that
+extraction matched, which for an observation leaves out its value.
 
-``normalize_all`` normalizes each distinct (text, entity type) once per
+``normalize_all`` normalizes each distinct (name, entity type) once per
 call and hands the same concept to every mention that repeats it; the
 memo lives only for that call. ``NormalizedConcept`` and
 ``AnnotatedMention`` are frozen slotted records.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fhirtwin.ner import EntityMention, split_observation_text
+from fhirtwin.ner import EntityMention
 from fhirtwin.terminology import (
     CODEABLE_TYPES,
     CodeSystem,
@@ -106,17 +106,14 @@ def normalize(
 ) -> Optional[NormalizedConcept]:
     """Map a codeable mention to its best concept, or None when unknown.
 
-    Observation spans are keyed on their name, as
-    ``ner.split_observation_text`` parts it from the value.
+    The lookup key is the mention's ``name``, so an observation's value
+    plays no part in its code.
     """
     if mention.etype not in CODEABLE_TYPES:
         raise TypeMismatchError(
             f"{mention.etype.value} mentions do not carry concepts"
         )
-    key = mention.text
-    if mention.etype == EntityType.OBSERVATION:
-        key, _ = split_observation_text(key)
-    return normalize_key(key, mention.etype, index)
+    return normalize_key(mention.name, mention.etype, index)
 
 
 def normalize_all(
@@ -124,14 +121,14 @@ def normalize_all(
 ) -> list[AnnotatedMention]:
     """Order-preserving normalization; non-codeable mentions pass through.
 
-    Each distinct (text, entity type) is normalized once per call.
+    Each distinct (name, entity type) is normalized once per call.
     """
     concepts: dict[tuple[str, EntityType], Optional[NormalizedConcept]] = {}
     annotated: list[AnnotatedMention] = []
     for mention in mentions:
         concept = None
         if mention.etype in CODEABLE_TYPES:
-            key = (mention.text, mention.etype)
+            key = (mention.name, mention.etype)
             if key in concepts:
                 concept = concepts[key]
             else:

@@ -16,8 +16,9 @@ skips blank, whitespace-only and ``#`` lines, splits each line with
 ``str.split`` (only a comma line holding a ``"`` goes through
 ``csv.reader``) and checks each row's cell count; each loader then checks
 its own cells. A bad row of any of them is one ``MalformedRowError``,
-``<file>:<line>: <reason>``: a line holding NUL and a line ``csv`` cannot
-parse are bad rows of every table, on every Python version.
+``<file>:<line>: <reason>``, on every Python version: a line ``csv`` cannot
+parse is a bad row of every table, and so is a line holding NUL of every
+file read through ``data_lines``, the config file and the cue list too.
 
 ``load_terminology`` builds an index in one flat loop per dictionary: it
 checks each row's cells, in file order, into one staging dict, keeps the
@@ -209,13 +210,16 @@ def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     text file that is neither blank nor a ``#`` comment. A leading byte-order
     mark, as spreadsheet exports write it, is not part of the first line.
 
-    Raises ``ValueError`` naming the file when it is not UTF-8.
+    Raises ``ValueError`` naming the file when it is not UTF-8, and
+    ``MalformedRowError`` for a line holding NUL.
     """
     try:
         with Path(path).open(encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 stripped = raw.strip()
                 if stripped and not stripped.startswith("#"):
+                    if "\0" in raw:
+                        raise MalformedRowError(path, line_no, "line contains NUL")
                     yield line_no, raw.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -231,14 +235,12 @@ def table_rows(
     line holding a ``"`` is split by ``csv.reader`` on that line alone: a
     cell may be quoted but cannot span lines. ``str.split`` and that reader
     agree on every other line, since ``data_lines`` never yields a line
-    break or an empty line. A line holding NUL, a line that ``csv`` cannot
-    parse (such as a quoted cell over its field-size limit) and a line
-    without exactly ``columns`` cells each raise ``MalformedRowError``.
+    break or an empty line. A line that ``csv`` cannot parse (such as a
+    quoted cell over its field-size limit) and a line without exactly
+    ``columns`` cells each raise ``MalformedRowError``.
     """
     quoting = delimiter == ","
     for line_no, line in data_lines(path):
-        if "\0" in line:
-            raise MalformedRowError(path, line_no, "line contains NUL")
         if quoting and '"' in line:
             try:
                 cells = next(csv.reader([line]))

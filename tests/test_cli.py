@@ -788,6 +788,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         ({}, "dictionary = nope.csv\n", "{dir}/nope.csv: No such file or directory"),
         ({}, "dictionary =\n", "{config}: dictionary: empty value"),
         ({}, "dictionary = , \n", "{config}: dictionary: no file named"),
+        ({}, "dictionary = a\0b\n", "{config}:1: line contains NUL"),
         ({}, "default_timestamp =\n", "{config}: default_timestamp: empty value"),
         (
             {},
@@ -849,6 +850,7 @@ def test_evaluate_names_the_field_it_cannot_score(corpus, tmp_path, caplog, rela
         "dictionary_missing",
         "dictionary_empty",
         "dictionary_only_commas",
+        "config_line_with_nul",
         "default_timestamp_empty",
         "default_timestamp_not_a_date_time",
         "default_timestamp_not_a_day",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fhirtwin.ner import (
     _ETYPE_BY_PRIORITY,
     _ETYPE_PRIORITY,
+    _VALUE,
     ClinicalNote,
     _containing_sentence,
     _guarded_period,
@@ -16,7 +17,6 @@ from fhirtwin.ner import (
     extract_entities,
     load_patterns,
     segment,
-    split_observation_text,
 )
 from fhirtwin.terminology import EntityType, load_terminology
 
@@ -312,12 +312,12 @@ candidate_strategy = st.builds(
 @given(st.lists(candidate_strategy, min_size=1, max_size=30))
 def test_resolve_overlaps_matches_quadratic_reference(candidates):
     ranked = [
-        (start - end, start, _ETYPE_PRIORITY[etype], end, 0)
+        (start - end, start, _ETYPE_PRIORITY[etype], end, 0, end, end)
         for start, end, etype in candidates
     ]
     resolved = [
         (start, end, _ETYPE_BY_PRIORITY[priority])
-        for _, start, priority, end, _ in _resolve_overlaps(ranked)
+        for _, start, priority, end, *_ in _resolve_overlaps(ranked)
     ]
     assert resolved == oracle_resolve_overlaps(candidates)
 
@@ -417,8 +417,7 @@ def _valued_observations(index, text):
     the oracle lists."""
     spans = []
     for mention in extract_entities(note(text), index, ()):
-        name, value = split_observation_text(mention.text)
-        if mention.etype == EntityType.OBSERVATION and value and _ORACLE_NAME.fullmatch(name):
+        if mention.value and _ORACLE_NAME.fullmatch(mention.name):
             spans.append(mention.span)
     return spans
 
@@ -460,6 +459,24 @@ observation_text = st.lists(
 @given(observation_text)
 def test_observation_values_match_obs_value(index, text):
     assert _valued_observations(index, text) == _oracle_valued_observations(index, text)
+
+
+@settings(max_examples=500)
+@example("BP: 1/2 _bp 3 hr\n4 Hgb 5 g/dL O2 sat 95% ſodium 140 mg")
+@given(observation_text)
+def test_a_mention_is_its_name_then_its_value(index, patterns, text):
+    """A valued observation's text is its name, then an
+    ``OBSERVATION_VALUE`` whose ``value`` group is its value; every other
+    mention's name is its text, and its value is empty."""
+    for mention in extract_entities(note(text), index, patterns):
+        assert mention.text.startswith(mention.name)
+        assert mention.text.endswith(mention.value)
+        if not mention.value:
+            assert mention.name == mention.text
+            continue
+        assert mention.etype == EntityType.OBSERVATION
+        match = _VALUE.fullmatch(mention.text[len(mention.name) :])
+        assert match is not None and match["value"] == mention.value
 
 
 @pytest.mark.parametrize("workload", ["short_notes", "long_notes"])

@@ -10,7 +10,6 @@ from fhirtwin.normalizer import (
     TypeMismatchError,
     normalize,
     normalize_all,
-    split_observation_text,
 )
 from fhirtwin.terminology import (
     CODEABLE_TYPES,
@@ -31,7 +30,14 @@ def mention(text, etype, start=0):
         text=text,
         etype=etype,
         sentence_index=0,
+        name=text,
+        value="",
     )
+
+
+def extracted(index, text, patterns=()):
+    """The mentions ``extract_entities`` finds in a one-note ``text``."""
+    return extract_entities(ClinicalNote("n1", "p1", None, text), index, patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +57,9 @@ def mention(text, etype, start=0):
     ],
 )
 def test_worked_normalizations(index, text, etype, system, code):
-    concept = normalize(mention(text, etype), index)
+    (found,) = extracted(index, text + ".")
+    assert (found.text, found.etype) == (text, etype)
+    concept = normalize(found, index)
     assert concept is not None
     assert (concept.system, concept.code) == (system, code)
     assert concept.score == 1.0
@@ -87,7 +95,8 @@ def test_condition_prefers_snomed_over_icd10(index):
 
 def test_observation_prefers_loinc_over_snomed(index):
     # "glucose" carries both a LOINC and a SNOMED coding in the bundled set.
-    concept = normalize(mention("Glucose 180 mg/dL", EntityType.OBSERVATION), index)
+    (found,) = extracted(index, "Glucose 180 mg/dL.")
+    concept = normalize(found, index)
     assert (concept.system, concept.code) == (CodeSystem.LOINC, "2345-7")
 
 
@@ -160,8 +169,17 @@ def test_per_mention_results_ignore_siblings(index):
 
 
 # ---------------------------------------------------------------------------
-# Observation key splitting
+# Observation names and values, as extraction parts them
 # ---------------------------------------------------------------------------
+
+
+def observations(index, patterns, text):
+    """(text, name, value) of each observation mention in a one-note ``text``."""
+    return [
+        (m.text, m.name, m.value)
+        for m in extracted(index, text, patterns)
+        if m.etype == EntityType.OBSERVATION
+    ]
 
 
 @pytest.mark.parametrize(
@@ -186,12 +204,17 @@ def test_per_mention_results_ignore_siblings(index):
         ("Platelets 250 x10^3/uL", "Platelets", "250 x10^3/uL"),
         ("Temperature 38.5°C", "Temperature", "38.5°C"),
         ("Temperature 101 °F", "Temperature", "101 °F"),
-        ("145/92", "145/92", ""),
-        (": 5", ": 5", ""),
     ],
 )
-def test_split_observation_text(text, name, value):
-    assert split_observation_text(text) == (name, value)
+def test_split_observation_text(index, patterns, text, name, value):
+    """``text`` ending a one-sentence note is one observation mention with
+    that name and value."""
+    assert observations(index, patterns, text + ".") == [(text, name, value)]
+
+
+@pytest.mark.parametrize("text", ["145/92", ": 5"])
+def test_a_value_without_a_name_is_no_observation(index, patterns, text):
+    assert observations(index, patterns, text + ".") == []
 
 
 # One surface under three entity types, reachable through a synonym too.

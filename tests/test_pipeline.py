@@ -18,11 +18,7 @@ from fhirtwin.fhir_assembly import (
     to_json,
 )
 from fhirtwin.ner import ClinicalNote, EntityMention, Sentence
-from fhirtwin.normalizer import (
-    AnnotatedMention,
-    NormalizedConcept,
-    split_observation_text,
-)
+from fhirtwin.normalizer import AnnotatedMention, NormalizedConcept
 from fhirtwin.pipeline import Pipeline, PipelineConfig, build_config, load_config_file
 from fhirtwin.relations import Relation, RelationType
 from fhirtwin.synthesizer import load_records, load_templates, synthesize
@@ -284,16 +280,14 @@ def test_coded_blocks_are_bounded_by_concept_and_text(config, benchmark_cases):
         for case in benchmark_cases["short_notes"]:
             _, _, annotations = pipeline.twin(case.patient_id, case.notes)
             for item in (a for annotation in annotations for a in annotation.annotated):
-                etype, text = item.mention.etype, item.mention.text
-                if etype == EntityType.OBSERVATION:
-                    text, _ = split_observation_text(text)
+                etype, name = item.mention.etype, item.mention.name
                 if etype not in (EntityType.DOSAGE, EntityType.TEMPORAL):
-                    pairs.add((item.concept, text))
+                    pairs.add((item.concept, name))
     assert set(pipeline.concept_blocks) == pairs
     assert len(pairs) < len(benchmark_cases["short_notes"]) / 5
 
 
-_MENTION = EntityMention(0, 3, "flu", EntityType.CONDITION, 0)
+_MENTION = EntityMention(0, 3, "flu", EntityType.CONDITION, 0, "flu", "")
 _CONCEPT = NormalizedConcept(CodeSystem.SNOMED, "6142004", "Influenza", 1.0)
 
 

@@ -200,6 +200,8 @@ def drawn_notes(draw):
             text=text[start:end],
             etype=draw(st.sampled_from(list(EntityType))),
             sentence_index=sentence_index,
+            name=text[start:end],
+            value="",
         )
         annotated.append(AnnotatedMention(mention, None))
     return annotated, sentences, text

@@ -4,12 +4,14 @@ Each example copies the bundled dictionary, synonyms, patterns, cues and
 templates next to a ``--config`` file that names them, then breaks one line
 of one of those six files: a wrong column count, an unknown code system or
 entity type, an empty surface or code, a bad regex, a non-UTF-8 byte, a NUL
-in a table, a quoted cell over ``csv``'s field-size limit, a synonym that points at itself or at another alias, a template slot that
-its sentence does not fill or one it must use left out, a seed that is not a
-number, split ratios that are not three non-negative numbers summing to 1,
-or a boolean that is not one of its eight spellings. Every command must
-then return 1, print exactly one ``error: <that file>...`` line, show no
-traceback and create no output directory.
+in any of them (a table, the cue list or the config), a quoted cell over
+``csv``'s field-size limit, a synonym that points at itself or at another
+alias, a template slot that its sentence does not fill or one it must use
+left out, a seed that is not a number, split ratios that are not three
+non-negative numbers summing to 1, or a boolean that is not one of its
+eight spellings. Every command must then return 1, print exactly one
+``error: <that file>...`` line, show no traceback and create no output
+directory.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ BREAKS = {
     "terminology.csv": ("columns", "system", "etype", "surface", "code", "nul", "overlong"),
     "synonyms.csv": ("columns", "self_loop", "chain", "nul", "overlong"),
     "patterns.tsv": ("columns", "etype", "regex", "nul"),
-    "cues.txt": (),
+    "cues.txt": ("nul",),
     "templates.tsv": ("columns", "slot", "nul"),
-    CONFIG: ("columns", "seed", "ratios", "bool"),
+    CONFIG: ("columns", "seed", "ratios", "bool", "nul"),
 }
 COLUMNS = {
     "terminology.csv": (",", 5),
@@ -103,15 +105,15 @@ def data_line_numbers(lines: list[str]) -> list[int]:
 
 def broken_line(name: str, line: str, how: str, lines: list[str], data) -> str:
     """``line`` of file ``name`` broken in the way ``how``."""
+    if how == "nul":
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + "\0" + line[at:]
     sep, count = COLUMNS[name]
     cells = line.split(sep)
     if how == "columns":
         # A config value may hold "=", so a config line breaks only by losing it.
         extra = name != CONFIG and data.draw(st.booleans())
         return sep.join(cells + ["extra"]) if extra else sep.join(cells[: count - 1])
-    if how == "nul":
-        at = data.draw(st.integers(0, len(line)))
-        return line[:at] + "\0" + line[at:]
     if how in CONFIG_VALUES:
         key = line.partition("=")[0].strip()
         return f"{key} = {data.draw(st.sampled_from(CONFIG_VALUES[how][1]))}"
